@@ -3,13 +3,17 @@
 Vertices are the divisors of n in ascending order; two distinct divisors
 are adjacent exactly when their gcd is 1 (the loop at divisor 1 is
 dropped).  Adjacency is decided by calling gcd on the divisor values, and
-every index is computed literally from its defining sum over the graph,
-with distances found by breadth-first search from every vertex.  Nothing
-here assumes the diameter bound or any other closed-form shortcut, which
-is what makes this module usable as an independent check.
+every index is computed from its defining sum over the graph, with
+distances found by breadth-first search from every vertex.  Nothing here
+assumes the diameter bound or any other closed-form shortcut, which is
+what makes this module usable as an independent check.
 
-Adjacency rows are stored as int bitmasks, one bit per vertex, which keeps
-the all-pairs work fast enough for graphs up to the configured cap.
+Adjacency rows are stored as int bitmasks, one bit per vertex, and each
+BFS walks whole frontier masks level by level, stopping once every vertex
+has been seen.  The pair sums are accumulated per level rather than per
+target: the level's vertices above the source are counted by popcount,
+and their degree sum is the popcount against one mask per distinct degree
+value, times that degree.
 """
 
 from __future__ import annotations
@@ -91,46 +95,36 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
         yield g.vertices[i], g.vertices[j]
 
 
-def _bfs_distances(adjacency: tuple[int, ...], source: int) -> list[int]:
-    """Distances from ``source`` to every vertex, -1 where unreachable."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
+def _bfs_levels(adjacency: tuple[int, ...], source: int) -> Iterator[int]:
+    """Yield the BFS frontier masks at distance 1, 2, ... from ``source``,
+    stopping as soon as every vertex has been seen."""
+    everything = (1 << len(adjacency)) - 1
     seen = frontier = 1 << source
-    level = 0
-    while frontier:
+    while seen != everything:
         reach = 0
-        remaining = frontier
-        while remaining:
-            low = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
             reach |= adjacency[low.bit_length() - 1]
-            remaining ^= low
+            frontier ^= low
         frontier = reach & ~seen
+        if not frontier:
+            raise ValueError("divisor prime graph is disconnected")
         seen |= frontier
-        level += 1
-        remaining = frontier
-        while remaining:
-            low = remaining & -remaining
-            dist[low.bit_length() - 1] = level
-            remaining ^= low
-    return dist
+        yield frontier
 
 
 def distance_summary(g: DivisorGraph) -> DistanceSummary:
     """Exact distance histogram and eccentricities via BFS from every vertex."""
-    count = len(g.vertices)
     pairs: Counter[int] = Counter()
     eccentricities = []
-    for source in range(count):
-        dist = _bfs_distances(g.adjacency, source)
-        farthest = 0
-        for target, d in enumerate(dist):
-            if d < 0:
-                raise ValueError("divisor prime graph is disconnected")
-            if d > farthest:
-                farthest = d
-            if target > source:
-                pairs[d] += 1
-        eccentricities.append(farthest)
+    for source in range(len(g.vertices)):
+        above = -1 << (source + 1)
+        level = 0
+        for level, frontier in enumerate(_bfs_levels(g.adjacency, source), 1):
+            targets = frontier & above
+            if targets:
+                pairs[level] += targets.bit_count()
+        eccentricities.append(level)
     return DistanceSummary(
         pairs_at_distance=dict(pairs),
         eccentricities=tuple(eccentricities),
@@ -154,25 +148,29 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     for i, j in _edge_index_pairs(g.adjacency):
         edge_count += 1
         zagreb2 += degrees[i] * degrees[j]
+    degree_classes: dict[int, int] = {}
+    for i, d in enumerate(degrees):
+        degree_classes[d] = degree_classes.get(d, 0) | 1 << i
 
     pairs: Counter[int] = Counter()
     gutman = 0
     schultz = 0
-    eccentricities = []
-    for source in range(count):
-        dist = _bfs_distances(g.adjacency, source)
-        deg_s = degrees[source]
-        farthest = 0
-        for target, d in enumerate(dist):
-            if d < 0:
-                raise ValueError("divisor prime graph is disconnected")
-            if d > farthest:
-                farthest = d
-            if target > source:
-                pairs[d] += 1
-                gutman += deg_s * degrees[target] * d
-                schultz += (deg_s + degrees[target]) * d
-        eccentricities.append(farthest)
+    eccentric_connectivity = 0
+    diameter = 0
+    for source, deg_s in enumerate(degrees):
+        above = -1 << (source + 1)
+        level = 0
+        for level, frontier in enumerate(_bfs_levels(g.adjacency, source), 1):
+            targets = frontier & above
+            if not targets:
+                continue
+            k = targets.bit_count()
+            dsum = sum(d * (targets & mask).bit_count() for d, mask in degree_classes.items())
+            pairs[level] += k
+            gutman += deg_s * dsum * level
+            schultz += (deg_s * k + dsum) * level
+        eccentric_connectivity += deg_s * level
+        diameter = max(diameter, level)
 
     wiener = sum(d * c for d, c in pairs.items())
     hyper_wiener = exact_half(sum((d + d * d) * c for d, c in pairs.items()))
@@ -189,7 +187,7 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
         zagreb2=zagreb2,
         gutman=gutman,
         schultz=schultz,
-        eccentric_connectivity=sum(dv * e for dv, e in zip(degrees, eccentricities)),
+        eccentric_connectivity=eccentric_connectivity,
         source=ORACLE,
-        diameter=max(eccentricities, default=0),
+        diameter=diameter,
     )

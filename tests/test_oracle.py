@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from divprime.arithmetic import CapExceededError, factorize
 from divprime.formulas import cf_report
 from divprime.oracle import (
+    DivisorGraph,
     build_graph,
     degree_of,
     distance_summary,
@@ -152,6 +153,82 @@ class TestOracleReport:
         assert r.eccentric_connectivity == sum(
             degs[i] * max(dist[i]) for i in range(count)
         )
+
+
+def graph_from_edges(count, edge_list):
+    """A DivisorGraph over vertices 0..count-1 with the given edges; used for
+    graphs that are not divisor prime graphs."""
+    rows = [0] * count
+    for i, j in edge_list:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=tuple(rows))
+
+
+# The spider S(2,2,2): legs 0-1-2, 0-3-4 and 0-5-6.  Diameter 4 and three
+# degree classes, so nothing here can lean on the divisor graphs' diameter 2.
+SPIDER_EDGES = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
+
+
+class TestNonDivisorGraphs:
+    def test_spider_distance_summary(self):
+        s = distance_summary(graph_from_edges(7, SPIDER_EDGES))
+        assert s.pairs_at_distance == {1: 6, 2: 6, 3: 6, 4: 3}
+        assert s.eccentricities == (2, 3, 4, 3, 4, 3, 4)
+        assert s.diameter == 4
+
+    def test_spider_oracle_report(self):
+        r = oracle_report(graph_from_edges(7, SPIDER_EDGES))
+        assert r.wiener == 48
+        assert r.harary == Fraction(47, 4)
+        assert r.hyper_wiener == 90
+        assert r.gutman == 114
+        assert r.schultz == 150
+        assert r.eccentric_connectivity == 36
+        assert r.diameter == 4
+
+    def test_disconnected_is_rejected(self):
+        g = DivisorGraph(n=0, vertices=(1, 2, 3), adjacency=(2, 1, 0))
+        with pytest.raises(ValueError, match="disconnected"):
+            oracle_report(g)
+        with pytest.raises(ValueError, match="disconnected"):
+            distance_summary(g)
+
+
+def assert_matches_networkx(nx, g, nx_graph):
+    """Compare the oracle with networkx on the same graph; ``nx_graph`` has
+    the values of ``g.vertices`` as its nodes."""
+    r = oracle_report(g)
+    assert int(nx.wiener_index(nx_graph)) == r.wiener
+    # networkx sums the hyper-Wiener terms over ordered pairs, so its value
+    # is twice the unordered-pair definition used here.
+    assert int(nx.hyper_wiener_index(nx_graph)) == 2 * r.hyper_wiener
+    assert int(nx.gutman_index(nx_graph)) == r.gutman
+    assert int(nx.schultz_index(nx_graph)) == r.schultz
+    eccentricity = nx.eccentricity(nx_graph)
+    s = distance_summary(g)
+    assert s.eccentricities == tuple(eccentricity[v] for v in g.vertices)
+    assert r.diameter == s.diameter == max(eccentricity.values())
+
+
+class TestNetworkxReference:
+    def test_spider(self):
+        nx = pytest.importorskip("networkx")
+        assert_matches_networkx(nx, graph_from_edges(7, SPIDER_EDGES), nx.Graph(SPIDER_EDGES))
+
+    @given(st.integers(min_value=1, max_value=2000))
+    @settings(max_examples=60, deadline=None)
+    def test_divisor_graphs(self, n):
+        nx = pytest.importorskip("networkx")
+        # Built from plain trial division and math.gcd, independently of
+        # build_graph.
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        reference = nx.Graph()
+        reference.add_nodes_from(divs)
+        reference.add_edges_from(
+            (a, b) for i, a in enumerate(divs) for b in divs[i + 1 :] if gcd(a, b) == 1
+        )
+        assert_matches_networkx(nx, graph_of(n), reference)
 
 
 class TestStructuralInvariants:

@@ -12,88 +12,31 @@ Schultz, eccentric connectivity) two independent ways:
   index from its defining sum, serving as brute-force ground truth.
 
 :mod:`divprime.verify` reconciles the two paths, and :mod:`divprime.cli`
-exposes computing, sweeping, and graph export on the command line.
+exposes computing, sweeping, and graph export on the command line.  The
+package itself re-exports only the main entry points and the types they
+return; every other name is imported from its own module.
 """
 
-from .arithmetic import (
-    DEFAULT_CAP,
-    CapExceededError,
-    Factorization,
-    divisor_count,
-    divisors,
-    factorize,
-    gcd,
-    is_prime,
-)
-from .formulas import (
-    cf_degree,
-    cf_eccentric_connectivity,
-    cf_edge_count,
-    cf_gutman,
-    cf_harary,
-    cf_hyper_wiener,
-    cf_report,
-    cf_schultz,
-    cf_wiener,
-    cf_zagreb_first,
-    cf_zagreb_second,
-)
-from .oracle import (
-    DistanceSummary,
-    DivisorGraph,
-    build_graph,
-    degree_of,
-    distance_summary,
-    edges,
-    oracle_report,
-)
-from .report import IndexReport, format_rational
-from .verify import (
-    COMPARED_FIELDS,
-    IndexComparison,
-    SweepSummary,
-    VerificationResult,
-    verify_n,
-    verify_range,
-    verify_results,
-)
+from .arithmetic import DEFAULT_CAP, CapExceededError, Factorization, factorize
+from .formulas import cf_report
+from .oracle import DivisorGraph, build_graph, oracle_report
+from .report import IndexReport
+from .verify import SweepSummary, VerificationResult, verify_n, verify_range
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPARED_FIELDS",
     "DEFAULT_CAP",
     "CapExceededError",
-    "DistanceSummary",
     "DivisorGraph",
     "Factorization",
-    "IndexComparison",
     "IndexReport",
     "SweepSummary",
     "VerificationResult",
     "build_graph",
-    "cf_degree",
-    "cf_eccentric_connectivity",
-    "cf_edge_count",
-    "cf_gutman",
-    "cf_harary",
-    "cf_hyper_wiener",
     "cf_report",
-    "cf_schultz",
-    "cf_wiener",
-    "cf_zagreb_first",
-    "cf_zagreb_second",
-    "degree_of",
-    "distance_summary",
-    "divisor_count",
-    "divisors",
-    "edges",
     "factorize",
-    "format_rational",
-    "gcd",
-    "is_prime",
     "oracle_report",
     "verify_n",
     "verify_range",
-    "verify_results",
 ]

@@ -70,6 +70,16 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        # An integer longer than Python's int<->str digit limit also lands
+        # here; name the limit rather than echo thousands of digits.
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise argparse.ArgumentTypeError(
+                f"integer of {len(digits)} digits exceeds Python's limit of "
+                f"{limit} digits (sys.get_int_max_str_digits())"
+            )
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")

@@ -1,20 +1,20 @@
 """Closed-form index evaluation from the prime factorization alone.
 
 Every divisor prime graph has diameter at most 2 (divisor 1 is adjacent to
-everything), which collapses each distance-based index into a function of
-just two structural counts: the divisor count and the edge count.  Both are
-short products over the prime exponents of n, so each formula below runs in
-time linear in the number of distinct primes, no matter how many divisors n
-has.  The brute-force counterpart in :mod:`divprime.oracle` computes the
-same quantities definitionally, and never reads this module's arithmetic.
+everything), so each index is fixed by the edges and the degrees at their
+ends.  For the exponents e of n, four products over the primes count it all:
 
-Writing the exponents of n as e1..er and D for the divisor count:
+* D  = prod(e + 1):         divisors, i.e. vertices
+* P2 = prod(2e + 1):        ordered pairs of coprime divisors (per prime,
+  exponents (a, b) with min(a, b) = 0); (1, 1) is the only self-pair
+* P3 = prod(3e + 1):        ordered triples of pairwise coprime divisors
+* PZ = prod((e + 1)^2 + e): sum over divisors d of c(d)^2, where c(d), the
+  number of divisors coprime to d, is the degree of d except c(1) = D
 
-* ordered coprime divisor pairs:  prod(2*ei + 1)
-  (per prime, the exponent pair (a, b) needs min(a, b) = 0, which allows
-  2*ei + 1 combinations; the only self-pair counted is (1, 1))
-* edge count:                     (prod(2*ei + 1) - 1) / 2
-* degree sum:                     prod(2*ei + 1) - 1
+``cf_report`` builds them in one pass over the primes, in time linear in the
+number of distinct primes however many divisors n has.  The brute-force
+counterpart in :mod:`divprime.oracle` computes the same quantities
+definitionally, and never reads this module's arithmetic.
 """
 
 from __future__ import annotations
@@ -40,18 +40,52 @@ __all__ = [
 ]
 
 
-def _ordered_coprime_pairs(f: Factorization) -> int:
-    """Number of ordered divisor pairs (u, v) with gcd(u, v) = 1."""
-    return prod(2 * e + 1 for _, e in f.factors)
-
-
-def cf_edge_count(f: Factorization) -> int:
-    """Edge count: (prod(2e+1) - 1) / 2.
-
-    The enclosed product counts ordered coprime pairs and is odd, since the
-    only coprime self-pair is (1, 1); the halving is therefore exact.
-    """
-    return exact_half(_ordered_coprime_pairs(f) - 1)
+def cf_report(f: Factorization) -> IndexReport:
+    """Evaluate all eight indices plus the structural counts in one go."""
+    count = p2 = p3 = pz = 1
+    for _, e in f.factors:
+        count *= e + 1
+        p2 *= 2 * e + 1
+        p3 *= 3 * e + 1
+        pz *= (e + 1) ** 2 + e
+    degree_sum = p2 - 1
+    # P2 is odd, since its only self-pair is (1, 1): the halving is exact.
+    edge_count = exact_half(degree_sum)
+    # Non-adjacent pairs are at distance 2; there are C(D, 2) - |E| of them.
+    non_edges = exact_half(count * (count - 1)) - edge_count
+    # Each vertex has degree c(d) except divisor 1, whose D^2 becomes (D-1)^2.
+    zagreb1 = pz - 2 * count + 1
+    # D * P3 sums c(u) c(v) over ordered coprime pairs (per prime (e+1)(3e+1));
+    # less the excess at divisor 1, it is M2 over edges in both directions.
+    zagreb2 = exact_half(count * p3 - count * count - 2 * (p2 - count))
+    # Non-edges count twice: twice the all-pairs sum (degree_sum^2 - M1)/2, less M2.
+    gutman = degree_sum**2 - zagreb1 - zagreb2
+    # All pairs hold each degree D - 1 times; doubled, less M1 over the edges.
+    schultz = 2 * (count - 1) * degree_sum - zagreb1
+    # Divisor 1 has eccentricity 1 and degree D - 1; from D = 3 on every
+    # other vertex has eccentricity 2.  At D <= 2 the diameter is at most 1,
+    # so the index is just the degree sum (0 for n = 1, 2 for prime n).
+    if count <= 2:
+        eccentric_connectivity = degree_sum
+    else:
+        eccentric_connectivity = 2 * degree_sum - (count - 1)
+    return IndexReport(
+        n=f.n,
+        divisor_count=count,
+        edge_count=edge_count,
+        degree_sum=degree_sum,
+        wiener=edge_count + 2 * non_edges,
+        harary=Fraction(2 * edge_count + non_edges, 2),
+        # (d + d^2) / 2 is 1 on an edge and 3 at distance 2.
+        hyper_wiener=edge_count + 3 * non_edges,
+        zagreb1=zagreb1,
+        zagreb2=zagreb2,
+        gutman=gutman,
+        schultz=schultz,
+        eccentric_connectivity=eccentric_connectivity,
+        source=CLOSED_FORM,
+        diameter=None,
+    )
 
 
 def cf_degree(f: Factorization, d: int) -> int:
@@ -65,121 +99,46 @@ def cf_degree(f: Factorization, d: int) -> int:
     return prod(e + 1 for p, e in f.factors if d % p)
 
 
-def cf_wiener(f: Factorization) -> int:
-    """Wiener index: D(D-1) - |E|.
+def cf_edge_count(f: Factorization) -> int:
+    """Edge count: (P2 - 1) / 2."""
+    return cf_report(f).edge_count
 
-    Edges contribute distance 1 and every other pair distance 2, so the sum
-    over unordered pairs is 2*C(D,2) - |E|.
-    """
-    count = divisor_count(f)
-    return count * (count - 1) - cf_edge_count(f)
+
+def cf_wiener(f: Factorization) -> int:
+    """Wiener index: D(D-1) - |E|."""
+    return cf_report(f).wiener
 
 
 def cf_harary(f: Factorization) -> Fraction:
-    """Harary index: (D(D-1) + prod(2e+1) - 1) / 4, reduced.
-
-    Reciprocal distances are 1 on edges and 1/2 elsewhere, hence the exact
-    quarter denominator.
-    """
-    count = divisor_count(f)
-    return Fraction(count * (count - 1) + _ordered_coprime_pairs(f) - 1, 4)
+    """Harary index: (D(D-1) + P2 - 1) / 4, reduced."""
+    return cf_report(f).harary
 
 
 def cf_hyper_wiener(f: Factorization) -> int:
-    """Hyper-Wiener index: 3D(D-1)/2 - prod(2e+1) + 1.
-
-    Each edge contributes (1 + 1)/2 = 1 and each distance-2 pair
-    (2 + 4)/2 = 3; D(D-1) is even so the halving is exact.
-    """
-    count = divisor_count(f)
-    return exact_half(3 * count * (count - 1)) - _ordered_coprime_pairs(f) + 1
+    """Hyper-Wiener index: 3D(D-1)/2 - P2 + 1."""
+    return cf_report(f).hyper_wiener
 
 
 def cf_zagreb_first(f: Factorization) -> int:
-    """First Zagreb index: prod((e+1)^2 + e) - 2D + 1.
-
-    The product is the sum of squared coprime-divisor counts over all
-    divisors; the correction replaces the count D at divisor 1 by its true
-    degree D - 1.
-    """
-    return prod((e + 1) ** 2 + e for _, e in f.factors) - 2 * divisor_count(f) + 1
+    """First Zagreb index: PZ - 2D + 1."""
+    return cf_report(f).zagreb1
 
 
 def cf_zagreb_second(f: Factorization) -> int:
-    """Second Zagreb index over edges:
-    (D * prod(3e+1) - 2 * prod(2e+1) - D^2 + 2D) / 2.
-
-    D * prod(3e+1) sums the degree-weight products over all ordered coprime
-    pairs; subtracting the central vertex's share and halving leaves the sum
-    of degree products over undirected edges.
-    """
-    count = divisor_count(f)
-    bracket = (
-        count * prod(3 * e + 1 for _, e in f.factors)
-        - 2 * _ordered_coprime_pairs(f)
-        - count * count
-        + 2 * count
-    )
-    return exact_half(bracket)
+    """Second Zagreb index: (D * P3 - 2 * P2 - D^2 + 2D) / 2."""
+    return cf_report(f).zagreb2
 
 
 def cf_gutman(f: Factorization) -> int:
-    """Gutman index: (degree sum)^2 - M1 - M2.
-
-    Distance-weighting degree products at diameter 2 doubles every non-edge
-    term, and the squared degree sum minus M1 is exactly twice the sum of
-    all pairwise degree products.
-    """
-    total_degree = _ordered_coprime_pairs(f) - 1
-    return total_degree**2 - cf_zagreb_first(f) - cf_zagreb_second(f)
+    """Gutman index: (P2 - 1)^2 - M1 - M2."""
+    return cf_report(f).gutman
 
 
 def cf_schultz(f: Factorization) -> int:
-    """Schultz index: 2(D-1) * prod(2e+1) - prod((e+1)^2 + e) + 1.
-
-    Equals 2(D-1) * (degree sum) - M1; each degree appears D-1 times across
-    all pairs, doubled for distance 2, minus the edge correction M1.
-    """
-    count = divisor_count(f)
-    return (
-        2 * (count - 1) * _ordered_coprime_pairs(f)
-        - prod((e + 1) ** 2 + e for _, e in f.factors)
-        + 1
-    )
+    """Schultz index: 2(D-1) * P2 - PZ + 1."""
+    return cf_report(f).schultz
 
 
 def cf_eccentric_connectivity(f: Factorization) -> int:
-    """Eccentric connectivity index, by case on the divisor count.
-
-    A single vertex (n = 1) has eccentricity 0, so the index is 0.  For
-    prime n the graph is a single edge, both eccentricities 1, index 2.
-    Otherwise divisor 1 has eccentricity 1 and every other vertex 2, giving
-    2 * prod(2e+1) - D - 1.  The general formula would yield 3 for prime n,
-    which is why D = 2 is dispatched separately.
-    """
-    count = divisor_count(f)
-    if count == 1:
-        return 0
-    if count == 2:
-        return 2
-    return 2 * _ordered_coprime_pairs(f) - count - 1
-
-
-def cf_report(f: Factorization) -> IndexReport:
-    """Evaluate all eight indices plus the structural counts in one go."""
-    return IndexReport(
-        n=f.n,
-        divisor_count=divisor_count(f),
-        edge_count=cf_edge_count(f),
-        degree_sum=_ordered_coprime_pairs(f) - 1,
-        wiener=cf_wiener(f),
-        harary=cf_harary(f),
-        hyper_wiener=cf_hyper_wiener(f),
-        zagreb1=cf_zagreb_first(f),
-        zagreb2=cf_zagreb_second(f),
-        gutman=cf_gutman(f),
-        schultz=cf_schultz(f),
-        eccentric_connectivity=cf_eccentric_connectivity(f),
-        source=CLOSED_FORM,
-        diameter=None,
-    )
+    """Eccentric connectivity index: P2 - 1 if D <= 2, else 2 * P2 - D - 1."""
+    return cf_report(f).eccentric_connectivity

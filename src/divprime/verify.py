@@ -18,7 +18,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Iterator
 
-from .arithmetic import DEFAULT_CAP, divisor_count, factorize
+from .arithmetic import DEFAULT_CAP, factorize
 from .formulas import cf_report
 from .oracle import build_graph, oracle_report
 from .report import IndexReport
@@ -114,7 +114,7 @@ def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
     closed = cf_report(f)
     elapsed_closed = perf_counter() - start
 
-    count = divisor_count(f)
+    count = closed.divisor_count
     if cap is not None and count > cap:
         return VerificationResult(
             n=n,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -66,6 +67,22 @@ class TestCompute:
         with pytest.raises(SystemExit) as err:
             main(["compute", "twelve"])
         assert err.value.code == 2
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int<->str digit limit in this interpreter",
+    )
+    def test_overlong_integer_is_a_precise_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        text = "1" * (limit + 700)
+        with pytest.raises(SystemExit) as err:
+            main(["compute", text])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert f"integer of {limit + 700} digits exceeds" in message
+        assert f"limit of {limit} digits" in message
+        assert "not an integer" not in message
+        assert "1" * 100 not in message
 
     def test_oracle_skipped_by_cap(self, capsys):
         code, out, err = run(capsys, "compute", "12", "--with-oracle", "--cap", "4")

@@ -209,6 +209,16 @@ def assert_matches_networkx(nx, g, nx_graph):
     s = distance_summary(g)
     assert s.eccentricities == tuple(eccentricity[v] for v in g.vertices)
     assert r.diameter == s.diameter == max(eccentricity.values())
+    # networkx has no Harary index: sum 1/d over ordered pairs, then halve.
+    lengths = nx.all_pairs_shortest_path_length(nx_graph)
+    harary = sum(
+        (Fraction(1, d) for _, row in lengths for d in row.values() if d), Fraction(0)
+    )
+    assert harary / 2 == r.harary
+    degree = dict(nx_graph.degree)
+    assert sum(d * d for d in degree.values()) == r.zagreb1
+    assert sum(degree[u] * degree[v] for u, v in nx_graph.edges) == r.zagreb2
+    assert sum(degree[v] * eccentricity[v] for v in nx_graph) == r.eccentric_connectivity
 
 
 class TestNetworkxReference:
@@ -229,6 +239,42 @@ class TestNetworkxReference:
             (a, b) for i, a in enumerate(divs) for b in divs[i + 1 :] if gcd(a, b) == 1
         )
         assert_matches_networkx(nx, graph_of(n), reference)
+
+
+_PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def same_signature_pairs(draw):
+    """Two n with the same exponent multiset over disjoint primes below 50,
+    each with at most 256 divisors."""
+    # At most seven primes per side: two disjoint sets of eight need 16.
+    r = draw(st.integers(min_value=0, max_value=7))
+    exponents: list[int] = []
+    for i in range(r):
+        # Leave a factor of at least 2 in the divisor count for each prime
+        # still to come.
+        room = 256 // (prod(e + 1 for e in exponents) * 2 ** (r - i - 1))
+        exponents.append(draw(st.integers(min_value=1, max_value=room - 1)))
+    primes = draw(st.permutations(_PRIMES_BELOW_50))
+    first = prod(p**e for p, e in zip(primes[:r], exponents))
+    second = prod(p**e for p, e in zip(primes[r : 2 * r], exponents))
+    return first, second
+
+
+class TestSignatureInvariance:
+    @given(same_signature_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_same_signature_same_report(self, pair):
+        # The oracle never assumes the closed form's premise that only the
+        # exponent signature matters; relabelling the primes is a graph
+        # isomorphism, so every index, the diameter and the distance
+        # histogram must still agree.
+        first, second = (graph_of(n) for n in pair)
+        a, b = oracle_report(first), oracle_report(second)
+        for name in (*COMPARED_FIELDS, "divisor_count", "diameter"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert distance_summary(first) == distance_summary(second)
 
 
 class TestStructuralInvariants:

@@ -1,0 +1,14 @@
+import divprime
+from divprime import build_graph, cf_report, factorize, oracle_report, verify_n
+
+
+def test_readme_library_snippet():
+    f = factorize(12)
+    assert f.factors == ((2, 2), (3, 1))
+    assert cf_report(f).wiener == 23
+    assert oracle_report(build_graph(f)).wiener == 23
+    assert verify_n(12).status == "verified"
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(divprime, name) for name in divprime.__all__)

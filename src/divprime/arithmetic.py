@@ -31,8 +31,8 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, three runs each: at D = 2304 build_graph
-#: takes 0.34 s and oracle_report 0.09 s; at D = 4608 they take 1.1-1.3 s
-#: and 0.21-0.28 s.  The quadratic gcd construction dominates.
+#: takes 3 ms and oracle_report 70-81 ms; at D = 4608 they take 8-10 ms and
+#: 0.28-0.30 s.  The BFS from every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
 
 # Trial division strips primes below this; Pollard rho handles the rest.

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 from typing import Sequence
 
@@ -86,7 +87,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of cyclic objects, and one per
+    # call would leave all of them for the cycle collector.
     parser = argparse.ArgumentParser(
         prog="divprime",
         description="Topological indices of divisor prime graphs, computed "

@@ -2,8 +2,10 @@
 
 Vertices are the divisors of n in ascending order; two distinct divisors
 are adjacent exactly when their gcd is 1 (the loop at divisor 1 is
-dropped).  Adjacency is decided by calling gcd on the divisor values, and
-every index is computed from its defining sum over the graph, with
+dropped).  Two divisors of n are coprime exactly when no prime of n
+divides both, so the adjacency row of a divisor is the AND, over the primes
+dividing it, of one mask per prime marking the divisors that prime does not
+divide.  Every index is computed from its defining sum over the graph, with
 distances found by breadth-first search from every vertex.  Nothing here
 assumes the diameter bound or any other closed-form shortcut, which is
 what makes this module usable as an independent check.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arithmetic import DEFAULT_CAP, Factorization, divisors, exact_half, gcd
+from .arithmetic import DEFAULT_CAP, Factorization, divisors, exact_half
 from .report import ORACLE, IndexReport
 
 __all__ = [
@@ -61,14 +63,21 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     """Construct the graph for f.n, refusing when the divisor count exceeds
     ``cap`` (pass None to lift the limit)."""
     verts = divisors(f, cap=cap)
-    count = len(verts)
-    rows = [0] * count
-    for i in range(count):
-        vi = verts[i]
-        for j in range(i + 1, count):
-            if gcd(vi, verts[j]) == 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    everything = (1 << len(verts)) - 1
+    # Bit i of p's mask is set when p does not divide verts[i].  Base 2 is
+    # exempt from the int/str digit limit, so any divisor count parses.
+    free_of = [
+        (p, int("".join("1" if v % p else "0" for v in reversed(verts)), 2))
+        for p, _ in f.factors
+    ]
+    rows = []
+    for v in verts:
+        row = everything
+        for p, mask in free_of:
+            if v % p == 0:
+                row &= mask
+        rows.append(row)
+    rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
     return DivisorGraph(n=f.n, vertices=tuple(verts), adjacency=tuple(rows))
 
 

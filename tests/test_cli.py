@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import sys
@@ -208,3 +209,41 @@ class TestExport:
         code, _, err = run(capsys, "export", "720720", "--cap", "100")
         assert code == 1
         assert "cap" in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may leave state
+    behind for the next."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        return err.value.code, capsys.readouterr().err
+
+    def test_cap_does_not_carry_over(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIVPRIME_CAP", raising=False)
+        code, _, err = run(capsys, "compute", "12", "--with-oracle", "--cap", "3")
+        assert code == 1 and "exceeds cap 3" in err
+        code, out, _ = run(capsys, "compute", "12", "--with-oracle")
+        assert code == 0 and "status: verified" in out
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        first = self.usage_error(capsys, "compute", "0")
+        assert first[0] == 2 and "expected a positive integer, got 0" in first[1]
+        assert run(capsys, "compute", "12")[0] == 0
+        assert self.usage_error(capsys, "compute", "0") == first
+        assert run(capsys, "compute", "12")[0] == 0
+
+    def test_leaves_no_argparse_cycles(self, capsys):
+        run(capsys, "verify", "1", "30", "--format", "csv")  # builds the parser
+        gc.collect()
+        flags, start = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run(capsys, "verify", "1", "30", "--format", "csv")
+            gc.collect()
+            modules = {getattr(obj, "__module__", None) for obj in gc.garbage[start:]}
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+        assert "argparse" not in modules

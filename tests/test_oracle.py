@@ -277,6 +277,50 @@ class TestSignatureInvariance:
         assert distance_summary(first) == distance_summary(second)
 
 
+def gcd_adjacency(vertices):
+    """Reference adjacency rows from one math.gcd call per unordered pair."""
+    rows = [0] * len(vertices)
+    for i, v in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            if gcd(v, vertices[j]) == 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+@st.composite
+def many_divisor_n(draw):
+    """An n over primes below 50 with at most 1200 divisors."""
+    r = draw(st.integers(min_value=1, max_value=10))
+    exponents: list[int] = []
+    for i in range(r):
+        room = 1200 // (prod(e + 1 for e in exponents) * 2 ** (r - i - 1))
+        exponents.append(draw(st.integers(min_value=1, max_value=room - 1)))
+    primes = draw(st.permutations(_PRIMES_BELOW_50))
+    return prod(p**e for p, e in zip(primes, exponents))
+
+
+class TestAdjacencyAtLargeD:
+    @given(many_divisor_n())
+    @settings(max_examples=25, deadline=None)
+    def test_masks_equal_pairwise_gcd(self, n):
+        g = graph_of(n)
+        assert g.adjacency == gcd_adjacency(g.vertices)
+
+    def test_one_has_no_self_loop(self):
+        g = graph_of(1)
+        assert g.adjacency == (0,) == gcd_adjacency(g.vertices)
+
+    def test_prime(self):
+        g = graph_of(1_000_003)
+        assert g.adjacency == (0b10, 0b01) == gcd_adjacency(g.vertices)
+
+    def test_prime_power(self):
+        g = graph_of(3**1199)
+        everything = (1 << 1200) - 1
+        assert g.adjacency == (everything ^ 1, *[1] * 1199) == gcd_adjacency(g.vertices)
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("n", range(1, 301))
     def test_small_n(self, n):

@@ -30,9 +30,10 @@ __all__ = [
 
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
-#: a 2-core Xeon with Python 3.11, three runs each: at D = 2304 build_graph
-#: takes 3 ms and oracle_report 70-81 ms; at D = 4608 they take 8-10 ms and
-#: 0.28-0.30 s.  The BFS from every vertex in oracle_report dominates.
+#: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
+#: runs each: at D = 2304 build_graph takes 3-4 ms and oracle_report 58-70 ms;
+#: at D = 4608 they take 8-13 ms and 0.24-0.31 s.  The BFS from every vertex
+#: in oracle_report dominates.
 DEFAULT_CAP = 5000
 
 # Trial division strips primes below this; Pollard rho handles the rest.

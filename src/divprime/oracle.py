@@ -15,7 +15,9 @@ BFS walks whole frontier masks level by level, stopping once every vertex
 has been seen.  The pair sums are accumulated per level rather than per
 target: the level's vertices above the source are counted by popcount,
 and their degree sum is the popcount against one mask per distinct degree
-value, times that degree.
+value, times that degree.  The first level is the source's neighbourhood,
+so the edge count and the second Zagreb index come off level 1 as well and
+the oracle never walks the edge list; ``edges`` is for export only.
 """
 
 from __future__ import annotations
@@ -88,20 +90,14 @@ def degree_of(g: DivisorGraph, index: int) -> int:
     return g.adjacency[index].bit_count()
 
 
-def _edge_index_pairs(adjacency: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    for i, row in enumerate(adjacency):
+def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
+    """Adjacent divisor pairs (u, v) with u < v, ascending; for export."""
+    for i, row in enumerate(g.adjacency):
         upper = row >> (i + 1)
-        base = i + 1
         while upper:
             low = upper & -upper
-            yield i, base + low.bit_length() - 1
+            yield g.vertices[i], g.vertices[i + low.bit_length()]
             upper ^= low
-
-
-def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
-    """Adjacent divisor pairs (u, v) with u < v, ascending."""
-    for i, j in _edge_index_pairs(g.adjacency):
-        yield g.vertices[i], g.vertices[j]
 
 
 def _bfs_levels(adjacency: tuple[int, ...], source: int) -> Iterator[int]:
@@ -152,16 +148,12 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     degrees = [row.bit_count() for row in g.adjacency]
     degree_sum = sum(degrees)
     zagreb1 = sum(d * d for d in degrees)
-    edge_count = 0
-    zagreb2 = 0
-    for i, j in _edge_index_pairs(g.adjacency):
-        edge_count += 1
-        zagreb2 += degrees[i] * degrees[j]
     degree_classes: dict[int, int] = {}
     for i, d in enumerate(degrees):
         degree_classes[d] = degree_classes.get(d, 0) | 1 << i
 
     pairs: Counter[int] = Counter()
+    zagreb2 = 0
     gutman = 0
     schultz = 0
     eccentric_connectivity = 0
@@ -176,6 +168,8 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
             k = targets.bit_count()
             dsum = sum(d * (targets & mask).bit_count() for d, mask in degree_classes.items())
             pairs[level] += k
+            if level == 1:  # targets are the source's neighbours above it
+                zagreb2 += deg_s * dsum
             gutman += deg_s * dsum * level
             schultz += (deg_s * k + dsum) * level
         eccentric_connectivity += deg_s * level
@@ -187,7 +181,7 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     return IndexReport(
         n=g.n,
         divisor_count=count,
-        edge_count=edge_count,
+        edge_count=pairs[1],
         degree_sum=degree_sum,
         wiener=wiener,
         harary=harary,

@@ -76,10 +76,17 @@ class VerificationResult:
     status: str
     closed_form: IndexReport
     oracle: IndexReport | None
-    comparisons: tuple[IndexComparison, ...]
     oracle_skipped_reason: str | None
     elapsed_closed_form: float
     elapsed_oracle: float | None
+
+    @property
+    def comparisons(self) -> tuple[IndexComparison, ...]:
+        """One comparison per ``COMPARED_FIELDS`` entry, derived on request."""
+        if self.oracle is None:
+            return ()
+        values = ((f, getattr(self.closed_form, f), getattr(self.oracle, f)) for f in COMPARED_FIELDS)
+        return tuple(IndexComparison(f, a, b, a == b) for f, a, b in values)
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,6 @@ def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
             status=ORACLE_SKIPPED,
             closed_form=closed,
             oracle=None,
-            comparisons=(),
             oracle_skipped_reason=f"divisor count {count} exceeds cap {cap}",
             elapsed_closed_form=elapsed_closed,
             elapsed_oracle=None,
@@ -131,22 +137,12 @@ def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
     oracle = oracle_report(build_graph(f, cap=cap))
     elapsed_oracle = perf_counter() - start
 
-    comparisons = tuple(
-        IndexComparison(
-            name=name,
-            closed_form=getattr(closed, name),
-            oracle=getattr(oracle, name),
-            equal=getattr(closed, name) == getattr(oracle, name),
-        )
-        for name in COMPARED_FIELDS
-    )
-    status = VERIFIED if all(c.equal for c in comparisons) else MISMATCH
+    equal = all(getattr(closed, name) == getattr(oracle, name) for name in COMPARED_FIELDS)
     return VerificationResult(
         n=n,
-        status=status,
+        status=VERIFIED if equal else MISMATCH,
         closed_form=closed,
         oracle=oracle,
-        comparisons=comparisons,
         oracle_skipped_reason=None,
         elapsed_closed_form=elapsed_closed,
         elapsed_oracle=elapsed_oracle,

@@ -85,6 +85,16 @@ class TestCompute:
         assert "not an integer" not in message
         assert "1" * 100 not in message
 
+    def test_long_n_below_the_digit_limit_prints_its_csv(self, capsys):
+        # 3914 digits: under the default limit of 4300, so the CLI accepts it
+        # and must also be able to print it back.
+        n = 2**13000
+        code, out, _ = run(capsys, "compute", str(n), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows[1][0]) == 3914
+        assert int(rows[1][0]) == n
+
     def test_oracle_skipped_by_cap(self, capsys):
         code, out, err = run(capsys, "compute", "12", "--with-oracle", "--cap", "4")
         assert code == 1

@@ -1,0 +1,64 @@
+"""Machine-format output pinned across versions, not only across runs.
+
+Each case records the sha256 of stdout and the exit code of one
+``cli.main`` call, so a change anywhere in the pipeline that moves a JSON,
+CSV or DOT byte fails here.  Table output is left out: it prints elapsed
+times.
+"""
+
+import hashlib
+
+import pytest
+
+from divprime.cli import main
+
+GOLDEN = [
+    (
+        ("verify", "1", "2000", "--format", "csv"),
+        0,
+        "056fa7274bb6510c660c14cb364864dec7125f9ef74ef37a47c8933864f1d9ce",
+    ),
+    (
+        ("verify", "1", "300", "--format", "json"),
+        0,
+        "15a97a16024eac2da74959d46875649085c48ba37f8f0346f8ef8364f5e09bf0",
+    ),
+    (
+        ("verify", "1", "300", "--cap", "8", "--format", "csv"),
+        0,
+        "57fbcdeaed6886cb0fe8553385683c72979ed8d384aa725bf47180b01729ca61",
+    ),
+    (
+        ("compute", "183783600", "--with-oracle", "--format", "json"),
+        0,
+        "b200f7a0bb551f6ecd356d7fe394586b40c0c1090722dc272e8a88443ab18313",
+    ),
+    (
+        ("compute", "183783600", "--with-oracle", "--format", "csv"),
+        0,
+        "b48c941fa72e2656e3860d539bd3563aa9074f6547432ce2a6d5af5c1e56ff4d",
+    ),
+    (
+        ("compute", "720720", "--format", "json"),
+        0,
+        "b024a198ceabec71fbd1a3b19b40b4c3c7bd35fffd4102c198b50779d07a70d0",
+    ),
+    (
+        ("export", "360", "--style", "dot"),
+        0,
+        "63a1432a13c18278f8ac31d1a4401818d320e125a3e865e207564a2666603c55",
+    ),
+    (
+        ("export", "720720", "--style", "adjacency-json"),
+        0,
+        "b5e906219938f1704bc20fa8eca0d78bfa749151a6e7450bf9765c5cec42054b",
+    ),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "digest"), GOLDEN, ids=["_".join(c[0]) for c in GOLDEN])
+def test_output_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("DIVPRIME_CAP", raising=False)
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -169,6 +169,21 @@ def graph_from_edges(count, edge_list):
 # degree classes, so nothing here can lean on the divisor graphs' diameter 2.
 SPIDER_EDGES = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
 
+# Graphs with no universal vertex, so the first BFS level of a source is
+# never the whole graph.  The double broom is the path 0-1-2-3 with five
+# leaves on 0 and three on 3: diameter 5, with 9 pairs at distance 3 and 15
+# at distance 5, so its Harary index still has a denominator dividing 4 (the
+# plain path P6 has 87/10, which IndexReport rejects).  Its leaves and the
+# two parts of K(2,3) are false twins.
+NO_UNIVERSAL_VERTEX = {
+    "C5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+    "double_broom": (
+        12,
+        [(0, 1), (1, 2), (2, 3), *((0, v) for v in range(4, 9)), *((3, v) for v in range(9, 12))],
+    ),
+    "K2_3": (5, [(i, j) for i in range(2) for j in range(2, 5)]),
+}
+
 
 class TestNonDivisorGraphs:
     def test_spider_distance_summary(self):
@@ -199,6 +214,8 @@ def assert_matches_networkx(nx, g, nx_graph):
     """Compare the oracle with networkx on the same graph; ``nx_graph`` has
     the values of ``g.vertices`` as its nodes."""
     r = oracle_report(g)
+    assert nx_graph.number_of_edges() == r.edge_count
+    assert sum(d for _, d in nx_graph.degree) == r.degree_sum
     assert int(nx.wiener_index(nx_graph)) == r.wiener
     # networkx sums the hyper-Wiener terms over ordered pairs, so its value
     # is twice the unordered-pair definition used here.
@@ -225,6 +242,12 @@ class TestNetworkxReference:
     def test_spider(self):
         nx = pytest.importorskip("networkx")
         assert_matches_networkx(nx, graph_from_edges(7, SPIDER_EDGES), nx.Graph(SPIDER_EDGES))
+
+    @pytest.mark.parametrize("name", NO_UNIVERSAL_VERTEX)
+    def test_graphs_without_a_universal_vertex(self, name):
+        nx = pytest.importorskip("networkx")
+        count, edge_list = NO_UNIVERSAL_VERTEX[name]
+        assert_matches_networkx(nx, graph_from_edges(count, edge_list), nx.Graph(edge_list))
 
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=60, deadline=None)

@@ -4,9 +4,9 @@
     divprime verify <lo> <hi> [--cap D] [--format table|json|csv]
     divprime export <n> [--style dot|adjacency-json] [--cap D]
 
-Exit codes: 0 success or verified, 1 mismatch or cap exceeded, 2 usage
-error.  The DIVPRIME_CAP environment variable overrides the built-in
-oracle cap; an explicit --cap beats both.
+Exit codes: 0 success or verified, 1 mismatch or a cap hit by compute or
+export, 2 usage error.  The DIVPRIME_CAP environment variable overrides
+the built-in oracle cap; an explicit --cap beats both.
 
 Machine formats (json, csv) are byte-identical across runs: integers are
 serialized as decimal strings so arbitrary sizes survive any JSON parser,
@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
+from contextlib import suppress
 from functools import cache
 from time import perf_counter
 from typing import Sequence
@@ -34,7 +34,6 @@ from .verify import (
     MISMATCH,
     ORACLE_SKIPPED,
     VERIFIED,
-    SweepSummary,
     verify_n,
     verify_range,
     verify_results,
@@ -141,63 +140,63 @@ def _resolve_cap(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # report rendering
 
 
-def _cell(report: IndexReport, column: str) -> str:
+def _cell(report: IndexReport, column: str) -> str | None:
+    """One report column as a machine string; None where it is unknown."""
     if column == "harary":
         return format_rational(report.harary)
     if column == "diameter":
-        return "" if report.diameter is None else str(report.diameter)
+        return None if report.diameter is None else str(report.diameter)
     field = _REPORT_FIELD_BY_COLUMN.get(column, column)
     return str(getattr(report, field))
 
 
 def _report_json_dict(report: IndexReport) -> dict:
-    data: dict = {}
-    for column in CSV_COLUMNS[:-1]:  # status is not a report field
-        if column == "diameter":
-            data[column] = None if report.diameter is None else str(report.diameter)
-        else:
-            data[column] = _cell(report, column)
+    # status is not a report field
+    data = {column: _cell(report, column) for column in CSV_COLUMNS[:-1]}
     data["source"] = report.source
     return data
 
 
-def _rational_with_float(value: Fraction) -> str:
-    try:
-        return f"{format_rational(value)} ({float(value):.6f})"
-    except OverflowError:
-        return format_rational(value)
-
-
-def _table_value(report: IndexReport, column: str) -> str:
-    if column == "harary":
-        return _rational_with_float(report.harary)
-    if column == "diameter":
-        return "-" if report.diameter is None else str(report.diameter)
-    return _cell(report, column)
-
-
-def _print_report_table(fact: Factorization, reports: list[IndexReport]) -> None:
-    print(f"n = {fact.n} = {fact}" if fact.factors else "n = 1")
-    print()
-    headers = [r.source.replace("_", " ") for r in reports]
-    label_width = max(len(c) for c in CSV_COLUMNS)
-    rows = [["", *headers]] if len(reports) > 1 else []
-    for column in CSV_COLUMNS[1:-1]:
-        rows.append([column, *(_table_value(r, column) for r in reports)])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    widths[0] = max(widths[0], label_width)
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
-def _print_csv(rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
-
-
-def _csv_row(report: IndexReport, status: str) -> list[str]:
+def _csv_row(report: IndexReport, status: str) -> list[str | None]:
+    # csv.writer writes None as an empty field.
     return [*(_cell(report, column) for column in CSV_COLUMNS[:-1]), status]
+
+
+def _render(
+    fmt: str,
+    fact: Factorization,
+    reports: list[IndexReport],
+    json_extra: dict,
+    csv_statuses: list[str],
+    trailer: list[str],
+) -> None:
+    """Print ``reports`` as json (later ones nested by source, then ``json_extra``),
+    csv rows tagged ``csv_statuses``, or a table followed by ``trailer``."""
+    if fmt == "json":
+        nested = {r.source: _report_json_dict(r) for r in reports[1:]}
+        print(json.dumps({**_report_json_dict(reports[0]), **nested, **json_extra}, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(_csv_row, reports, csv_statuses))
+    else:
+        print(f"n = {fact.n} = {fact}" if fact.factors else "n = 1")
+        print()
+        headers = [r.source.replace("_", " ") for r in reports]
+        rows = [["", *headers]] if len(reports) > 1 else []
+        for column in CSV_COLUMNS[1:-1]:
+            row = [column]
+            for report in reports:
+                cell = _cell(report, column)
+                if column == "harary":
+                    with suppress(OverflowError):
+                        cell += f" ({float(report.harary):.6f})"
+                row.append("-" if cell is None else cell)
+            rows.append(row)
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        for row in rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print("", *trailer, sep="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -210,58 +209,32 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
     if not args.with_oracle:
         start = perf_counter()
         report = cf_report(fact)
-        elapsed = perf_counter() - start
-        if args.format == "json":
-            print(json.dumps(_report_json_dict(report), indent=2))
-        elif args.format == "csv":
-            _print_csv([_csv_row(report, report.source)])
-        else:
-            _print_report_table(fact, [report])
-            print()
-            print(f"elapsed: closed form {elapsed:.6f} s")
+        trailer = [f"elapsed: closed form {perf_counter() - start:.6f} s"]
+        _render(args.format, fact, [report], {}, [report.source], trailer)
         return 0
 
     result = verify_n(args.n, cap=cap)
     if result.status == ORACLE_SKIPPED:
-        if args.format == "json":
-            data = _report_json_dict(result.closed_form)
-            data["status"] = ORACLE_SKIPPED
-            data["oracle_skipped_reason"] = result.oracle_skipped_reason
-            print(json.dumps(data, indent=2))
-        elif args.format == "csv":
-            _print_csv([_csv_row(result.closed_form, ORACLE_SKIPPED)])
-        else:
-            _print_report_table(fact, [result.closed_form])
-            print()
-            print(f"status: oracle skipped ({result.oracle_skipped_reason})")
-        print(f"oracle skipped: {result.oracle_skipped_reason}", file=sys.stderr)
+        reason = result.oracle_skipped_reason
+        extra = {"status": ORACLE_SKIPPED, "oracle_skipped_reason": reason}
+        trailer = [f"status: oracle skipped ({reason})"]
+        _render(args.format, fact, [result.closed_form], extra, [ORACLE_SKIPPED], trailer)
+        print(f"oracle skipped: {reason}", file=sys.stderr)
         return 1
 
-    mismatched = [c.name for c in result.comparisons if not c.equal]
-    if args.format == "json":
-        data = _report_json_dict(result.closed_form)
-        data["oracle"] = _report_json_dict(result.oracle)
-        data["status"] = result.status
-        data["mismatches"] = mismatched
-        print(json.dumps(data, indent=2))
-    elif args.format == "csv":
-        _print_csv(
-            [
-                _csv_row(result.closed_form, result.closed_form.source),
-                _csv_row(result.oracle, result.oracle.source),
-            ]
-        )
+    reports = [result.closed_form, result.oracle]
+    comparisons = result.comparisons
+    mismatched = [c.name for c in comparisons if not c.equal]
+    if result.status == VERIFIED:
+        trailer = [f"status: verified ({len(comparisons)}/{len(comparisons)} comparisons equal)"]
     else:
-        _print_report_table(fact, [result.closed_form, result.oracle])
-        print()
-        if result.status == VERIFIED:
-            print(f"status: verified ({len(result.comparisons)}/{len(result.comparisons)} comparisons equal)")
-        else:
-            print(f"status: MISMATCH in {', '.join(mismatched)}")
-        print(
-            f"elapsed: closed form {result.elapsed_closed_form:.6f} s, "
-            f"oracle {result.elapsed_oracle:.6f} s"
-        )
+        trailer = [f"status: MISMATCH in {', '.join(mismatched)}"]
+    trailer.append(
+        f"elapsed: closed form {result.elapsed_closed_form:.6f} s, "
+        f"oracle {result.elapsed_oracle:.6f} s"
+    )
+    extra = {"status": result.status, "mismatches": mismatched}
+    _render(args.format, fact, reports, extra, [r.source for r in reports], trailer)
     if result.status == MISMATCH:
         print(f"mismatch for n = {args.n}: {', '.join(mismatched)}", file=sys.stderr)
         return 1
@@ -270,19 +243,6 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _summary_json_dict(summary: SweepSummary) -> dict:
-    return {
-        "lo": str(summary.lo),
-        "hi": str(summary.hi),
-        "cap": str(summary.cap),
-        "verified": str(summary.counts[VERIFIED]),
-        "mismatch": str(summary.counts[MISMATCH]),
-        "oracle_skipped": str(summary.counts[ORACLE_SKIPPED]),
-        "mismatching_n": [str(n) for n in summary.mismatching_n],
-        "max_divisor_count": str(summary.max_divisor_count),
-    }
 
 
 def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
@@ -301,10 +261,20 @@ def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
         return 1 if mismatches else 0
 
     summary = verify_range(args.lo, args.hi, cap=cap)
+    counts = summary.counts
     if args.format == "json":
-        print(json.dumps(_summary_json_dict(summary), indent=2))
+        data = {
+            "lo": str(summary.lo),
+            "hi": str(summary.hi),
+            "cap": str(summary.cap),
+            "verified": str(counts[VERIFIED]),
+            "mismatch": str(counts[MISMATCH]),
+            "oracle_skipped": str(counts[ORACLE_SKIPPED]),
+            "mismatching_n": [str(n) for n in summary.mismatching_n],
+            "max_divisor_count": str(summary.max_divisor_count),
+        }
+        print(json.dumps(data, indent=2))
     else:
-        counts = summary.counts
         print(
             f"verify {summary.lo}..{summary.hi} (cap {summary.cap}): "
             f"{counts[VERIFIED]} verified, {counts[MISMATCH]} mismatches, "

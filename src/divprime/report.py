@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["CLOSED_FORM", "ORACLE", "IndexReport", "format_rational"]
 
@@ -28,9 +29,10 @@ class IndexReport:
     """The eight topological indices of one divisor prime graph, plus the
     structural counts they derive from.
 
-    All indices are exact integers except the Harary index, which is an
-    exact rational with denominator dividing 4.  ``diameter`` is only known
-    on the brute-force path and is None on closed-form reports.
+    All indices are exact integers except the Harary index, a sum of 1/d
+    over pairs at distance d, so an exact rational whose denominator divides
+    lcm(1..diameter).  ``diameter`` is only known on the brute-force path and
+    is None on closed-form reports, whose graphs have diameter at most 2.
     """
 
     n: int
@@ -49,8 +51,10 @@ class IndexReport:
     diameter: int | None = None
 
     def __post_init__(self):
-        if 4 % self.harary.denominator:
-            raise ValueError(f"harary denominator must divide 4: {self.harary}")
+        diameter = 2 if self.diameter is None else self.diameter
+        bound = lcm(*range(1, diameter + 1))
+        if bound % self.harary.denominator:
+            raise ValueError(f"harary denominator must divide {bound}: {self.harary}")
         if self.degree_sum != 2 * self.edge_count:
             raise ValueError(
                 f"degree sum {self.degree_sum} != twice edge count {self.edge_count}"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -166,6 +167,52 @@ class TestVerify:
         assert row[-1] == "oracle_skipped"
         assert row[CSV_COLUMNS.index("diameter")] == ""
         assert row[CSV_COLUMNS.index("D")] == "10"
+
+
+class TestMismatch:
+    """A closed form that is off by one in the Wiener index, as seen by
+    verify_n; the CLI must report the mismatch in every format."""
+
+    @pytest.fixture(autouse=True)
+    def broken_closed_form(self, monkeypatch):
+        import divprime.verify
+
+        real = divprime.verify.cf_report
+
+        def off_by_one(f):
+            report = real(f)
+            return dataclasses.replace(report, wiener=report.wiener + 1)
+
+        monkeypatch.setattr(divprime.verify, "cf_report", off_by_one)
+
+    def test_json(self, capsys):
+        code, out, err = run(capsys, "compute", "30", "--with-oracle", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "mismatch"
+        assert data["mismatches"] == ["wiener"]
+        assert err == "mismatch for n = 30: wiener\n"
+
+    def test_table(self, capsys):
+        code, out, err = run(capsys, "compute", "30", "--with-oracle")
+        assert code == 1
+        assert "status: MISMATCH in wiener\n" in out
+        assert err == "mismatch for n = 30: wiener\n"
+
+    def test_csv_has_both_rows(self, capsys):
+        code, out, err = run(capsys, "compute", "30", "--with-oracle", "--format", "csv")
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert tuple(rows[0]) == CSV_COLUMNS
+        assert [r[-1] for r in rows[1:]] == ["closed_form", "oracle"]
+        wiener = CSV_COLUMNS.index("wiener")
+        assert (rows[1][wiener], rows[2][wiener]) == ("44", "43")
+        assert err == "mismatch for n = 30: wiener\n"
+
+    def test_verify_csv_exits_one(self, capsys):
+        code, out, _ = run(capsys, "verify", "1", "5", "--format", "csv")
+        assert code == 1
+        assert [r[-1] for r in list(csv.reader(io.StringIO(out)))[1:]] == ["mismatch"] * 5
 
 
 class TestExport:

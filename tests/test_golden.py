@@ -1,12 +1,13 @@
-"""Machine-format output pinned across versions, not only across runs.
+"""Output pinned across versions, not only across runs.
 
 Each case records the sha256 of stdout and the exit code of one
 ``cli.main`` call, so a change anywhere in the pipeline that moves a JSON,
-CSV or DOT byte fails here.  Table output is left out: it prints elapsed
-times.
+CSV or DOT byte fails here.  The cases in ``GOLDEN_OUTCOMES`` also pin
+stderr, and cover table output with every elapsed time masked.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -62,3 +63,66 @@ def test_output_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, ar
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# One case per ``compute`` outcome and format not pinned above: closed form
+# only, oracle skipped (exit 1) and verified, plus the sweep table.
+_SKIPPED = "oracle skipped: divisor count 6 exceeds cap 4\n"
+GOLDEN_OUTCOMES = [
+    (
+        ("compute", "720720", "--format", "csv"),
+        0,
+        "89ff6197edeba0cca4ef962599e9f3b3187c5f0e7ad04ee72cc6cbccea2d4e52",
+        "",
+    ),
+    (
+        ("compute", "12", "--with-oracle", "--cap", "4", "--format", "json"),
+        1,
+        "fdee8f254fb03910f8c773ab13db3100b67c1387c25dc2e70fc74b0463065939",
+        _SKIPPED,
+    ),
+    (
+        ("compute", "12", "--with-oracle", "--cap", "4", "--format", "csv"),
+        1,
+        "b5be2b4fdcb1d1acd5a5dd953ba7c8cec1ba231d6a928b189272277b594ff480",
+        _SKIPPED,
+    ),
+    (
+        ("compute", "30"),
+        0,
+        "2d6231e28e48345f902736e6da852dd4dd400753ac35095cddfcb9ed65ca45c9",
+        "",
+    ),
+    (
+        ("compute", "30", "--with-oracle"),
+        0,
+        "0f87222a0eb575dc06c180e59211fa98732554ccc85c240cd83e6bb2f502d87f",
+        "",
+    ),
+    (
+        ("compute", "12", "--with-oracle", "--cap", "4"),
+        1,
+        "731296f9d4528e8fa0758ed1b741a47249d66c48bdf87cc07ec4830091685bc4",
+        _SKIPPED,
+    ),
+    (
+        ("verify", "1", "300"),
+        0,
+        "ca70e78ae77799ed56e208259e73df5300611f9907e3225ac342d53072bce289",
+        "",
+    ),
+]
+
+_ELAPSED = re.compile(r"\d+\.\d+ s")
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "digest", "err"), GOLDEN_OUTCOMES, ids=["_".join(c[0]) for c in GOLDEN_OUTCOMES]
+)
+def test_outcome_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, argv, code, digest, err):
+    monkeypatch.delenv("DIVPRIME_CAP", raising=False)
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    out = captured.out if "--format" in argv else _ELAPSED.sub("- s", captured.out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert captured.err == err

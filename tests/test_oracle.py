@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd, prod
 
@@ -172,9 +173,9 @@ SPIDER_EDGES = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
 # Graphs with no universal vertex, so the first BFS level of a source is
 # never the whole graph.  The double broom is the path 0-1-2-3 with five
 # leaves on 0 and three on 3: diameter 5, with 9 pairs at distance 3 and 15
-# at distance 5, so its Harary index still has a denominator dividing 4 (the
-# plain path P6 has 87/10, which IndexReport rejects).  Its leaves and the
-# two parts of K(2,3) are false twins.
+# at distance 5, so its Harary index is 61/2 (the plain paths P1-P8 are in
+# TestNetworkxReference).  Its leaves and the two parts of K(2,3) are false
+# twins.
 NO_UNIVERSAL_VERTEX = {
     "C5": (5, [(i, (i + 1) % 5) for i in range(5)]),
     "double_broom": (
@@ -248,6 +249,13 @@ class TestNetworkxReference:
         nx = pytest.importorskip("networkx")
         count, edge_list = NO_UNIVERSAL_VERTEX[name]
         assert_matches_networkx(nx, graph_from_edges(count, edge_list), nx.Graph(edge_list))
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_paths(self, count):
+        # Diameter count - 1, so the Harary denominators reach lcm(1..7).
+        nx = pytest.importorskip("networkx")
+        edge_list = [(i, i + 1) for i in range(count - 1)]
+        assert_matches_networkx(nx, graph_from_edges(count, edge_list), nx.path_graph(count))
 
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=60, deadline=None)
@@ -408,7 +416,7 @@ def test_report_type_rejects_broken_invariants():
             edge_count=good.edge_count,
             degree_sum=good.degree_sum,
             wiener=good.wiener,
-            harary=Fraction(1, 3),  # denominator must divide 4
+            harary=Fraction(1, 3),  # denominator must divide lcm(1, 2) at diameter 2
             hyper_wiener=good.hyper_wiener,
             zagreb1=good.zagreb1,
             zagreb2=good.zagreb2,
@@ -418,3 +426,15 @@ def test_report_type_rejects_broken_invariants():
             source=good.source,
             diameter=good.diameter,
         )
+
+
+def test_harary_denominator_bound_follows_the_diameter():
+    # Sum of 1/d over pairs: P4 has one pair at distance 3, P6 reaches 5.
+    path = [(i, i + 1) for i in range(5)]
+    assert oracle_report(graph_from_edges(4, path[:3])).harary == Fraction(13, 3)
+    assert oracle_report(graph_from_edges(6, path)).harary == Fraction(87, 10)
+    # Closed-form reports carry no diameter; their graphs have diameter <= 2.
+    closed = cf_report(factorize(12))
+    with pytest.raises(ValueError, match="must divide 2"):
+        dataclasses.replace(closed, harary=Fraction(1, 3))
+    assert dataclasses.replace(closed, harary=Fraction(1, 2)).harary == Fraction(1, 2)

@@ -213,7 +213,7 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
         _render(args.format, fact, [report], {}, [report.source], trailer)
         return 0
 
-    result = verify_n(args.n, cap=cap)
+    result = verify_n(fact, cap=cap)
     if result.status == ORACLE_SKIPPED:
         reason = result.oracle_skipped_reason
         extra = {"status": ORACLE_SKIPPED, "oracle_skipped_reason": reason}

@@ -11,10 +11,22 @@ ends.  For the exponents e of n, four products over the primes count it all:
 * PZ = prod((e + 1)^2 + e): sum over divisors d of c(d)^2, where c(d), the
   number of divisors coprime to d, is the degree of d except c(1) = D
 
-``cf_report`` builds them in one pass over the primes, in time linear in the
-number of distinct primes however many divisors n has.  The brute-force
-counterpart in :mod:`divprime.oracle` computes the same quantities
-definitionally, and never reads this module's arithmetic.
+Each index is then a field of the ``IndexReport`` that ``cf_report`` returns:
+
+* edge_count:             (P2 - 1) / 2
+* wiener:                 D(D-1) - |E|
+* harary:                 (D(D-1) + P2 - 1) / 4, reduced
+* hyper_wiener:           3D(D-1)/2 - P2 + 1
+* zagreb1 (M1):           PZ - 2D + 1
+* zagreb2 (M2):           (D * P3 - 2 * P2 - D^2 + 2D) / 2
+* gutman:                 (P2 - 1)^2 - M1 - M2
+* schultz:                2(D-1) * P2 - PZ + 1
+* eccentric_connectivity: P2 - 1 if D <= 2, else 2 * P2 - D - 1
+
+``cf_report`` builds the four products in one pass over the primes, in time
+linear in the number of distinct primes however many divisors n has.  The
+brute-force counterpart in :mod:`divprime.oracle` computes the same
+quantities definitionally, and never reads this module's arithmetic.
 """
 
 from __future__ import annotations
@@ -25,19 +37,7 @@ from math import prod
 from .arithmetic import Factorization, divisor_count, exact_half
 from .report import CLOSED_FORM, IndexReport
 
-__all__ = [
-    "cf_degree",
-    "cf_eccentric_connectivity",
-    "cf_edge_count",
-    "cf_gutman",
-    "cf_harary",
-    "cf_hyper_wiener",
-    "cf_report",
-    "cf_schultz",
-    "cf_wiener",
-    "cf_zagreb_first",
-    "cf_zagreb_second",
-]
+__all__ = ["cf_degree", "cf_report"]
 
 
 def cf_report(f: Factorization) -> IndexReport:
@@ -97,48 +97,3 @@ def cf_degree(f: Factorization, d: int) -> int:
     if d == 1:
         return divisor_count(f) - 1
     return prod(e + 1 for p, e in f.factors if d % p)
-
-
-def cf_edge_count(f: Factorization) -> int:
-    """Edge count: (P2 - 1) / 2."""
-    return cf_report(f).edge_count
-
-
-def cf_wiener(f: Factorization) -> int:
-    """Wiener index: D(D-1) - |E|."""
-    return cf_report(f).wiener
-
-
-def cf_harary(f: Factorization) -> Fraction:
-    """Harary index: (D(D-1) + P2 - 1) / 4, reduced."""
-    return cf_report(f).harary
-
-
-def cf_hyper_wiener(f: Factorization) -> int:
-    """Hyper-Wiener index: 3D(D-1)/2 - P2 + 1."""
-    return cf_report(f).hyper_wiener
-
-
-def cf_zagreb_first(f: Factorization) -> int:
-    """First Zagreb index: PZ - 2D + 1."""
-    return cf_report(f).zagreb1
-
-
-def cf_zagreb_second(f: Factorization) -> int:
-    """Second Zagreb index: (D * P3 - 2 * P2 - D^2 + 2D) / 2."""
-    return cf_report(f).zagreb2
-
-
-def cf_gutman(f: Factorization) -> int:
-    """Gutman index: (P2 - 1)^2 - M1 - M2."""
-    return cf_report(f).gutman
-
-
-def cf_schultz(f: Factorization) -> int:
-    """Schultz index: 2(D-1) * P2 - PZ + 1."""
-    return cf_report(f).schultz
-
-
-def cf_eccentric_connectivity(f: Factorization) -> int:
-    """Eccentric connectivity index: P2 - 1 if D <= 2, else 2 * P2 - D - 1."""
-    return cf_report(f).eccentric_connectivity

@@ -6,15 +6,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["CLOSED_FORM", "ORACLE", "IndexReport", "format_rational"]
+__all__ = ["CLOSED_FORM", "COMPARED_FIELDS", "ORACLE", "IndexReport", "format_rational"]
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
 
-_INT_FIELDS = (
+#: The ten values every report holds and ``verify`` compares between the two
+#: paths: the eight indices plus the edge count and degree sum.
+COMPARED_FIELDS = (
     "edge_count",
     "degree_sum",
     "wiener",
+    "harary",
     "hyper_wiener",
     "zagreb1",
     "zagreb2",
@@ -59,7 +62,7 @@ class IndexReport:
             raise ValueError(
                 f"degree sum {self.degree_sum} != twice edge count {self.edge_count}"
             )
-        for name in _INT_FIELDS:
+        for name in COMPARED_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):

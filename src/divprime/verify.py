@@ -18,10 +18,10 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Iterator
 
-from .arithmetic import DEFAULT_CAP, factorize
+from .arithmetic import DEFAULT_CAP, Factorization, factorize
 from .formulas import cf_report
 from .oracle import build_graph, oracle_report
-from .report import IndexReport
+from .report import COMPARED_FIELDS, IndexReport
 
 __all__ = [
     "COMPARED_FIELDS",
@@ -39,20 +39,6 @@ __all__ = [
 VERIFIED = "verified"
 MISMATCH = "mismatch"
 ORACLE_SKIPPED = "oracle_skipped"
-
-#: Report fields compared between the two paths (ten comparisons per n).
-COMPARED_FIELDS = (
-    "edge_count",
-    "degree_sum",
-    "wiener",
-    "harary",
-    "hyper_wiener",
-    "zagreb1",
-    "zagreb2",
-    "gutman",
-    "schultz",
-    "eccentric_connectivity",
-)
 
 
 @dataclass(frozen=True)
@@ -110,13 +96,14 @@ class SweepSummary:
         return not self.mismatching_n
 
 
-def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
+def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> VerificationResult:
     """Compare closed form against brute force for one integer.
 
-    The oracle side is skipped (not failed) when n has more than ``cap``
-    divisors; pass cap=None to force the oracle regardless of size.
+    n may be given already factorized.  The oracle side is skipped (not
+    failed) when n has more than ``cap`` divisors; pass cap=None to force
+    the oracle regardless of size.
     """
-    f = factorize(n)
+    f = n if isinstance(n, Factorization) else factorize(n)
     start = perf_counter()
     closed = cf_report(f)
     elapsed_closed = perf_counter() - start
@@ -124,7 +111,7 @@ def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
     count = closed.divisor_count
     if cap is not None and count > cap:
         return VerificationResult(
-            n=n,
+            n=f.n,
             status=ORACLE_SKIPPED,
             closed_form=closed,
             oracle=None,
@@ -139,7 +126,7 @@ def verify_n(n: int, cap: int | None = DEFAULT_CAP) -> VerificationResult:
 
     equal = all(getattr(closed, name) == getattr(oracle, name) for name in COMPARED_FIELDS)
     return VerificationResult(
-        n=n,
+        n=f.n,
         status=VERIFIED if equal else MISMATCH,
         closed_form=closed,
         oracle=oracle,

@@ -12,19 +12,7 @@ from time import perf_counter
 
 from divprime.arithmetic import divisor_count, divisors, factorize
 from divprime.cli import main
-from divprime.formulas import (
-    cf_degree,
-    cf_eccentric_connectivity,
-    cf_edge_count,
-    cf_gutman,
-    cf_harary,
-    cf_hyper_wiener,
-    cf_report,
-    cf_schultz,
-    cf_wiener,
-    cf_zagreb_first,
-    cf_zagreb_second,
-)
+from divprime.formulas import cf_degree, cf_report
 from divprime.oracle import build_graph, degree_of, distance_summary, edges, oracle_report
 from divprime.verify import verify_range
 
@@ -71,11 +59,11 @@ def test_criterion_2_prime_power_eccentric_connectivity():
     with criterion("criterion 2: eccentric connectivity of p^k is 3k (k >= 2) and 2 (k = 1)"):
         for p in (2, 3, 5, 7, 11):
             f = factorize(p)
-            assert cf_eccentric_connectivity(f) == 2
+            assert cf_report(f).eccentric_connectivity == 2
             assert oracle_report(build_graph(f)).eccentric_connectivity == 2
             for k in range(2, 51):
                 f = factorize(p**k)
-                assert cf_eccentric_connectivity(f) == 3 * k, (p, k)
+                assert cf_report(f).eccentric_connectivity == 3 * k, (p, k)
                 # D = k + 1 stays far below the cap, so the oracle runs too
                 assert oracle_report(build_graph(f)).eccentric_connectivity == 3 * k, (p, k)
 
@@ -110,14 +98,14 @@ def test_criterion_5_structural_identities_at_scale():
             n = rng.randint(1, 10**12)
             f = factorize(n)
             count = divisor_count(f)
-            wiener = cf_wiener(f)
-            harary = cf_harary(f)
-            edge_count = cf_edge_count(f)
+            wiener = cf_report(f).wiener
+            harary = cf_report(f).harary
+            edge_count = cf_report(f).edge_count
             degree_sum = 2 * edge_count
             assert 2 * wiener + 4 * harary == 3 * count * (count - 1), n
-            assert cf_hyper_wiener(f) == wiener + count * (count - 1) // 2 - edge_count, n
-            assert cf_gutman(f) == degree_sum**2 - cf_zagreb_first(f) - cf_zagreb_second(f), n
-            assert cf_schultz(f) == 2 * (count - 1) * degree_sum - cf_zagreb_first(f), n
+            assert cf_report(f).hyper_wiener == wiener + count * (count - 1) // 2 - edge_count, n
+            assert cf_report(f).gutman == degree_sum**2 - cf_report(f).zagreb1 - cf_report(f).zagreb2, n
+            assert cf_report(f).schultz == 2 * (count - 1) * degree_sum - cf_report(f).zagreb1, n
         elapsed = perf_counter() - start
         assert elapsed < 5.0, f"identities took {elapsed:.2f} s"
 

@@ -116,6 +116,22 @@ class TestCompute:
             main(["compute", "12"])
         assert err.value.code == 2
 
+    def test_with_oracle_factorizes_once(self, capsys, monkeypatch):
+        import divprime.cli
+        import divprime.verify
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(divprime.cli, "factorize", counted)
+        monkeypatch.setattr(divprime.verify, "factorize", counted)
+        code, out, _ = run(capsys, "compute", "183783600", "--with-oracle", "--format", "json")
+        assert code == 0 and json.loads(out)["status"] == "verified"
+        assert calls == [183783600]
+
     def test_json_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "compute", "360360", "--format", "json")
         _, second, _ = run(capsys, "compute", "360360", "--format", "json")

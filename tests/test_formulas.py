@@ -5,19 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divprime.arithmetic import Factorization, divisor_count, divisors, factorize
-from divprime.formulas import (
-    cf_degree,
-    cf_eccentric_connectivity,
-    cf_edge_count,
-    cf_gutman,
-    cf_harary,
-    cf_hyper_wiener,
-    cf_report,
-    cf_schultz,
-    cf_wiener,
-    cf_zagreb_first,
-    cf_zagreb_second,
-)
+from divprime.formulas import cf_degree, cf_report
 from divprime.oracle import build_graph, degree_of, edges, oracle_report
 
 
@@ -42,15 +30,15 @@ def factorizations(draw, max_primes=6, max_exponent=6):
 
 class TestEdgeCount:
     def test_examples(self):
-        assert cf_edge_count(factorize(12)) == 7
-        assert cf_edge_count(factorize(1)) == 0
+        assert cf_report(factorize(12)).edge_count == 7
+        assert cf_report(factorize(1)).edge_count == 0
 
     def test_2310_matches_explicit_graph(self):
         f = factorize(2310)
         g = build_graph(f)
         assert len(g.vertices) == 32
         assert sum(1 for _ in edges(g)) == 121
-        assert cf_edge_count(f) == 121
+        assert cf_report(f).edge_count == 121
 
 
 class TestDegree:
@@ -74,99 +62,99 @@ class TestDegree:
         g = build_graph(f)
         degs = [cf_degree(f, d) for d in divisors(f)]
         assert degs == [degree_of(g, i) for i in range(len(g.vertices))]
-        assert sum(degs) == 2 * cf_edge_count(f)
+        assert sum(degs) == 2 * cf_report(f).edge_count
 
 
 class TestWiener:
     def test_examples(self):
-        assert cf_wiener(factorize(12)) == 23
-        assert cf_wiener(factorize(1)) == 0
+        assert cf_report(factorize(12)).wiener == 23
+        assert cf_report(factorize(1)).wiener == 0
 
     def test_210_matches_oracle(self):
         f = factorize(210)
-        assert cf_wiener(f) == 200
+        assert cf_report(f).wiener == 200
         assert oracle_report(build_graph(f)).wiener == 200
 
 
 class TestHarary:
     def test_examples(self):
-        assert cf_harary(factorize(12)) == Fraction(11, 1)
-        assert cf_harary(factorize(1)) == Fraction(0, 1)
+        assert cf_report(factorize(12)).harary == Fraction(11, 1)
+        assert cf_report(factorize(1)).harary == Fraction(0, 1)
 
     def test_six_matches_oracle(self):
         # Divisors {1, 2, 3, 6}: four edges plus the distance-2 pairs
         # {2, 6} and {3, 6}, so H = 4 + 2 * (1/2) = 5.
         f = factorize(6)
         assert oracle_report(build_graph(f)).harary == Fraction(5, 1)
-        assert cf_harary(f) == Fraction(5, 1)
+        assert cf_report(f).harary == Fraction(5, 1)
 
     @given(factorizations())
     @settings(max_examples=80)
     def test_denominator_divides_four(self, f):
-        assert 4 % cf_harary(f).denominator == 0
+        assert 4 % cf_report(f).harary.denominator == 0
 
 
 class TestHyperWiener:
     def test_examples(self):
-        assert cf_hyper_wiener(factorize(15)) == 10
-        assert cf_hyper_wiener(factorize(1)) == 0
+        assert cf_report(factorize(15)).hyper_wiener == 10
+        assert cf_report(factorize(1)).hyper_wiener == 0
 
     def test_twelve_matches_oracle(self):
         f = factorize(12)
-        assert cf_hyper_wiener(f) == 31
+        assert cf_report(f).hyper_wiener == 31
         assert oracle_report(build_graph(f)).hyper_wiener == 31
 
 
 class TestZagreb:
     def test_first_examples(self):
-        assert cf_zagreb_first(factorize(20)) == 44
-        assert cf_zagreb_first(factorize(1)) == 0
-        assert cf_zagreb_first(factorize(30)) == 110
+        assert cf_report(factorize(20)).zagreb1 == 44
+        assert cf_report(factorize(1)).zagreb1 == 0
+        assert cf_report(factorize(30)).zagreb1 == 110
 
     def test_second_examples(self):
-        assert cf_zagreb_second(factorize(20)) == 57
-        assert cf_zagreb_second(factorize(1)) == 0
-        assert cf_zagreb_second(factorize(30)) == 205
+        assert cf_report(factorize(20)).zagreb2 == 57
+        assert cf_report(factorize(1)).zagreb2 == 0
+        assert cf_report(factorize(30)).zagreb2 == 205
 
 
 class TestGutman:
     def test_examples(self):
-        assert cf_gutman(factorize(30)) == 361
-        assert cf_gutman(factorize(1)) == 0
+        assert cf_report(factorize(30)).gutman == 361
+        assert cf_report(factorize(1)).gutman == 0
 
     def test_45_matches_oracle(self):
         f = factorize(45)
-        assert cf_gutman(f) == 95
+        assert cf_report(f).gutman == 95
         assert oracle_report(build_graph(f)).gutman == 95
 
 
 class TestSchultz:
     def test_examples(self):
-        assert cf_schultz(factorize(45)) == 96
-        assert cf_schultz(factorize(1)) == 0
+        assert cf_report(factorize(45)).schultz == 96
+        assert cf_report(factorize(1)).schultz == 0
 
     def test_twelve_matches_oracle(self):
         f = factorize(12)
-        assert cf_schultz(f) == 96
+        assert cf_report(f).schultz == 96
         assert oracle_report(build_graph(f)).schultz == 96
 
 
 class TestEccentricConnectivity:
     def test_examples(self):
-        assert cf_eccentric_connectivity(factorize(22)) == 13
-        assert cf_eccentric_connectivity(factorize(7)) == 2
-        assert cf_eccentric_connectivity(factorize(8)) == 9
+        assert cf_report(factorize(22)).eccentric_connectivity == 13
+        assert cf_report(factorize(7)).eccentric_connectivity == 2
+        assert cf_report(factorize(8)).eccentric_connectivity == 9
 
     @given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(min_value=2, max_value=40))
     @settings(max_examples=60)
     def test_prime_power_is_three_k(self, p, k):
-        assert cf_eccentric_connectivity(factorize(p**k)) == 3 * k
+        assert cf_report(factorize(p**k)).eccentric_connectivity == 3 * k
 
     def test_prime_is_two_not_three(self):
         # The general expression would give 3 for a prime; the two-vertex
         # graph is a single edge with both eccentricities 1.
         for p in (2, 3, 101, 1000003):
-            assert cf_eccentric_connectivity(factorize(p)) == 2
+            assert cf_report(factorize(p)).eccentric_connectivity == 2
 
 
 class TestReport:
@@ -206,28 +194,31 @@ class TestClosedFormIdentities:
     @settings(max_examples=200)
     def test_wiener_plus_edges(self, f):
         count = divisor_count(f)
-        assert cf_wiener(f) + cf_edge_count(f) == count * (count - 1)
+        assert cf_report(f).wiener + cf_report(f).edge_count == count * (count - 1)
 
     @given(factorizations())
     @settings(max_examples=200)
     def test_wiener_harary_partition(self, f):
         count = divisor_count(f)
-        assert 2 * cf_wiener(f) + 4 * cf_harary(f) == 3 * count * (count - 1)
+        assert 2 * cf_report(f).wiener + 4 * cf_report(f).harary == 3 * count * (count - 1)
 
     @given(factorizations())
     @settings(max_examples=200)
     def test_hyper_wiener_from_wiener(self, f):
         count = divisor_count(f)
-        assert cf_hyper_wiener(f) == cf_wiener(f) + count * (count - 1) // 2 - cf_edge_count(f)
+        assert (
+            cf_report(f).hyper_wiener
+            == cf_report(f).wiener + count * (count - 1) // 2 - cf_report(f).edge_count
+        )
 
     @given(factorizations())
     @settings(max_examples=200)
     def test_gutman_schultz_from_zagreb(self, f):
         count = divisor_count(f)
-        degree_sum = 2 * cf_edge_count(f)
-        assert cf_gutman(f) == degree_sum**2 - cf_zagreb_first(f) - cf_zagreb_second(f)
+        degree_sum = 2 * cf_report(f).edge_count
+        assert cf_report(f).gutman == degree_sum**2 - cf_report(f).zagreb1 - cf_report(f).zagreb2
         if count >= 2:
-            assert cf_schultz(f) == 2 * (count - 1) * degree_sum - cf_zagreb_first(f)
+            assert cf_report(f).schultz == 2 * (count - 1) * degree_sum - cf_report(f).zagreb1
 
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=60)
@@ -245,5 +236,5 @@ class TestClosedFormIdentities:
                 if (g.vertices[i], g.vertices[j]) not in edge_set:
                     prod_sum += degs[i] * degs[j]
                     deg_sum += degs[i] + degs[j]
-        assert cf_gutman(f) == cf_zagreb_second(f) + 2 * prod_sum
-        assert cf_schultz(f) == cf_zagreb_first(f) + 2 * deg_sum
+        assert cf_report(f).gutman == cf_report(f).zagreb2 + 2 * prod_sum
+        assert cf_report(f).schultz == cf_report(f).zagreb1 + 2 * deg_sum

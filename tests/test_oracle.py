@@ -426,6 +426,9 @@ def test_report_type_rejects_broken_invariants():
             source=good.source,
             diameter=good.diameter,
         )
+    with pytest.raises(ValueError):
+        # The denominator divides lcm(1, 2); only the sign is wrong.
+        dataclasses.replace(good, harary=Fraction(-1, 2))
 
 
 def test_harary_denominator_bound_follows_the_diameter():

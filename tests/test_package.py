@@ -1,3 +1,5 @@
+import importlib
+
 import divprime
 from divprime import build_graph, cf_report, factorize, oracle_report, verify_n
 
@@ -11,4 +13,7 @@ def test_readme_library_snippet():
 
 
 def test_every_public_name_resolves():
-    assert all(hasattr(divprime, name) for name in divprime.__all__)
+    submodules = ("arithmetic", "formulas", "oracle", "report", "verify", "cli")
+    modules = [divprime, *(importlib.import_module(f"divprime.{m}") for m in submodules)]
+    stale = [f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)]
+    assert stale == []

@@ -10,14 +10,15 @@ distances found by breadth-first search from every vertex.  Nothing here
 assumes the diameter bound or any other closed-form shortcut, which is
 what makes this module usable as an independent check.
 
-Adjacency rows are stored as int bitmasks, one bit per vertex, and each
-BFS walks whole frontier masks level by level, stopping once every vertex
-has been seen.  The pair sums are accumulated per level rather than per
-target: the level's vertices above the source are counted by popcount,
-and their degree sum is the popcount against one mask per distinct degree
-value, times that degree.  The first level is the source's neighbourhood,
-so the edge count and the second Zagreb index come off level 1 as well and
-the oracle never walks the edge list; ``edges`` is for export only.
+Adjacency rows are stored as int bitmasks, one bit per vertex.  One loop
+runs the BFS from every vertex for both ``oracle_report`` and
+``distance_summary``, walking whole frontier masks level by level and
+stopping once every vertex has been seen.  Pair sums are taken per level:
+the level's vertices above the source are counted by popcount, and their
+degree sum is the popcount against one mask per distinct degree, times
+that degree.  Level 1 is the source's neighbourhood, so the edge count and
+the second Zagreb index come off it and the oracle never walks the edge
+list; ``edges`` is for export only.
 """
 
 from __future__ import annotations
@@ -100,68 +101,33 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
             upper ^= low
 
 
-def _bfs_levels(adjacency: tuple[int, ...], source: int) -> Iterator[int]:
-    """Yield the BFS frontier masks at distance 1, 2, ... from ``source``,
-    stopping as soon as every vertex has been seen."""
+def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
+    """One BFS from every vertex, summed per level: the distance summary,
+    the degrees, and the second Zagreb, Gutman and Schultz sums."""
+    adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
-    seen = frontier = 1 << source
-    while seen != everything:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adjacency[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            raise ValueError("divisor prime graph is disconnected")
-        seen |= frontier
-        yield frontier
-
-
-def distance_summary(g: DivisorGraph) -> DistanceSummary:
-    """Exact distance histogram and eccentricities via BFS from every vertex."""
-    pairs: Counter[int] = Counter()
-    eccentricities = []
-    for source in range(len(g.vertices)):
-        above = -1 << (source + 1)
-        level = 0
-        for level, frontier in enumerate(_bfs_levels(g.adjacency, source), 1):
-            targets = frontier & above
-            if targets:
-                pairs[level] += targets.bit_count()
-        eccentricities.append(level)
-    return DistanceSummary(
-        pairs_at_distance=dict(pairs),
-        eccentricities=tuple(eccentricities),
-        diameter=max(eccentricities, default=0),
-    )
-
-
-def oracle_report(g: DivisorGraph) -> IndexReport:
-    """Compute all eight indices from their definitions on the explicit graph.
-
-    Distance-based sums run over unordered vertex pairs with BFS distances,
-    degree-based sums over vertices or edges, and the Harary index is
-    accumulated as an exact rational, never a float.
-    """
-    count = len(g.vertices)
-    degrees = [row.bit_count() for row in g.adjacency]
-    degree_sum = sum(degrees)
-    zagreb1 = sum(d * d for d in degrees)
+    degrees = [row.bit_count() for row in adjacency]
     degree_classes: dict[int, int] = {}
     for i, d in enumerate(degrees):
         degree_classes[d] = degree_classes.get(d, 0) | 1 << i
-
     pairs: Counter[int] = Counter()
-    zagreb2 = 0
-    gutman = 0
-    schultz = 0
-    eccentric_connectivity = 0
-    diameter = 0
+    eccentricities = []
+    zagreb2 = gutman = schultz = 0
     for source, deg_s in enumerate(degrees):
         above = -1 << (source + 1)
+        seen = frontier = 1 << source
         level = 0
-        for level, frontier in enumerate(_bfs_levels(g.adjacency, source), 1):
+        while seen != everything:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                raise ValueError("divisor prime graph is disconnected")
+            seen |= frontier
+            level += 1
             targets = frontier & above
             if not targets:
                 continue
@@ -172,25 +138,38 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
                 zagreb2 += deg_s * dsum
             gutman += deg_s * dsum * level
             schultz += (deg_s * k + dsum) * level
-        eccentric_connectivity += deg_s * level
-        diameter = max(diameter, level)
+        eccentricities.append(level)
+    summary = DistanceSummary(dict(pairs), tuple(eccentricities), max(eccentricities, default=0))
+    return summary, degrees, zagreb2, gutman, schultz
 
-    wiener = sum(d * c for d, c in pairs.items())
-    hyper_wiener = exact_half(sum((d + d * d) * c for d, c in pairs.items()))
-    harary = sum((Fraction(c, d) for d, c in pairs.items()), Fraction(0))
+
+def distance_summary(g: DivisorGraph) -> DistanceSummary:
+    """Exact distance histogram and eccentricities via BFS from every vertex."""
+    return _bfs_sums(g)[0]
+
+
+def oracle_report(g: DivisorGraph) -> IndexReport:
+    """Compute all eight indices from their definitions on the explicit graph.
+
+    Distance-based sums run over unordered vertex pairs with BFS distances,
+    degree-based sums over vertices or edges, and the Harary index is
+    accumulated as an exact rational, never a float.
+    """
+    summary, degrees, zagreb2, gutman, schultz = _bfs_sums(g)
+    pairs = summary.pairs_at_distance
     return IndexReport(
         n=g.n,
-        divisor_count=count,
-        edge_count=pairs[1],
-        degree_sum=degree_sum,
-        wiener=wiener,
-        harary=harary,
-        hyper_wiener=hyper_wiener,
-        zagreb1=zagreb1,
+        divisor_count=len(g.vertices),
+        edge_count=pairs.get(1, 0),
+        degree_sum=sum(degrees),
+        wiener=sum(d * c for d, c in pairs.items()),
+        harary=sum((Fraction(c, d) for d, c in pairs.items()), Fraction(0)),
+        hyper_wiener=exact_half(sum((d + d * d) * c for d, c in pairs.items())),
+        zagreb1=sum(d * d for d in degrees),
         zagreb2=zagreb2,
         gutman=gutman,
         schultz=schultz,
-        eccentric_connectivity=eccentric_connectivity,
+        eccentric_connectivity=sum(d * e for d, e in zip(degrees, summary.eccentricities)),
         source=ORACLE,
-        diameter=diameter,
+        diameter=summary.diameter,
     )

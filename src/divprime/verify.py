@@ -109,28 +109,22 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
     elapsed_closed = perf_counter() - start
 
     count = closed.divisor_count
+    oracle = elapsed_oracle = reason = None
     if cap is not None and count > cap:
-        return VerificationResult(
-            n=f.n,
-            status=ORACLE_SKIPPED,
-            closed_form=closed,
-            oracle=None,
-            oracle_skipped_reason=f"divisor count {count} exceeds cap {cap}",
-            elapsed_closed_form=elapsed_closed,
-            elapsed_oracle=None,
-        )
-
-    start = perf_counter()
-    oracle = oracle_report(build_graph(f, cap=cap))
-    elapsed_oracle = perf_counter() - start
-
-    equal = all(getattr(closed, name) == getattr(oracle, name) for name in COMPARED_FIELDS)
+        status = ORACLE_SKIPPED
+        reason = f"divisor count {count} exceeds cap {cap}"
+    else:
+        start = perf_counter()
+        oracle = oracle_report(build_graph(f, cap=cap))
+        elapsed_oracle = perf_counter() - start
+        equal = all(getattr(closed, name) == getattr(oracle, name) for name in COMPARED_FIELDS)
+        status = VERIFIED if equal else MISMATCH
     return VerificationResult(
         n=f.n,
-        status=VERIFIED if equal else MISMATCH,
+        status=status,
         closed_form=closed,
         oracle=oracle,
-        oracle_skipped_reason=None,
+        oracle_skipped_reason=reason,
         elapsed_closed_form=elapsed_closed,
         elapsed_oracle=elapsed_oracle,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from divprime.arithmetic import CapExceededError, factorize
 from divprime.formulas import cf_report
 from divprime.oracle import (
+    DistanceSummary,
     DivisorGraph,
     build_graph,
     degree_of,
@@ -210,6 +212,15 @@ class TestNonDivisorGraphs:
         with pytest.raises(ValueError, match="disconnected"):
             distance_summary(g)
 
+    def test_asymmetric_adjacency_is_rejected(self):
+        # Row 2 lacks vertex 1: the degree sum is 5 against 3 distance-1
+        # pairs, so the handshake check in the report catches it, while the
+        # distance summary alone has nothing to check it against.
+        g = DivisorGraph(n=0, vertices=(0, 1, 2), adjacency=(0b110, 0b101, 0b001))
+        with pytest.raises(ValueError, match="degree sum 5 != twice edge count 3"):
+            oracle_report(g)
+        assert distance_summary(g) == DistanceSummary({1: 3}, (1, 1, 2), 2)
+
 
 def assert_matches_networkx(nx, g, nx_graph):
     """Compare the oracle with networkx on the same graph; ``nx_graph`` has
@@ -228,11 +239,14 @@ def assert_matches_networkx(nx, g, nx_graph):
     assert s.eccentricities == tuple(eccentricity[v] for v in g.vertices)
     assert r.diameter == s.diameter == max(eccentricity.values())
     # networkx has no Harary index: sum 1/d over ordered pairs, then halve.
-    lengths = nx.all_pairs_shortest_path_length(nx_graph)
+    lengths = list(nx.all_pairs_shortest_path_length(nx_graph))
     harary = sum(
         (Fraction(1, d) for _, row in lengths for d in row.values() if d), Fraction(0)
     )
     assert harary / 2 == r.harary
+    # The distance histogram, likewise over ordered pairs and then halved.
+    histogram = Counter(d for _, row in lengths for d in row.values() if d)
+    assert s.pairs_at_distance == {d: c // 2 for d, c in histogram.items()}
     degree = dict(nx_graph.degree)
     assert sum(d * d for d in degree.values()) == r.zagreb1
     assert sum(degree[u] * degree[v] for u, v in nx_graph.edges) == r.zagreb2

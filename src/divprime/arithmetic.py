@@ -3,7 +3,9 @@
 Both computation paths consume the canonical :class:`Factorization` built
 here: the closed forms read only the prime exponents, the brute-force graph
 oracle enumerates the actual divisors.  Plain Python ints are used
-throughout, so every value is exact at any size.
+throughout, so every value is exact at any size.  Primality is a set lookup
+below the trial-division bound and Miller-Rabin with size-dependent proven
+bases above it, so its cost follows the size of its input.
 
 All functions are pure and all returned values immutable, so they are safe
 to share across threads or worker processes.
@@ -43,10 +45,20 @@ _TRIAL_BOUND = 10_000
 # Fixed seed for the rho stage, so factorize(n) is deterministic.
 _RHO_SEED = 0x0D17C0DE
 
-# Miller-Rabin with these bases is a proven primality test below ~3.3e24;
-# beyond that the same fixed bases make it a deterministic strong test with
-# no known counterexample.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses by input size.  Below each bound, every odd
+# composite fails the test for one of the first k prime bases: the bounds
+# are the least strong pseudoprimes to those bases, psi_k (OEIS A014233;
+# Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2017).  Past the
+# last bound all fourteen bases are used, a deterministic strong test with
+# no known counterexample; base 43 rejects psi_13 itself.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_MR_TIERS = (
+    (1_373_653, _MR_BASES[:2]),
+    (3_215_031_751, _MR_BASES[:4]),
+    (3_474_749_660_383, _MR_BASES[:6]),
+    (3_825_123_056_546_413_051, _MR_BASES[:9]),
+    (3_317_044_064_679_887_385_961_981, _MR_BASES[:13]),
+)
 
 
 class CapExceededError(ValueError):
@@ -79,17 +91,29 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
+@cache
+def _small_prime_set() -> frozenset[int]:
+    return frozenset(_small_primes())
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (see _MR_BASES note)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
+    """Primality test: a set lookup below _TRIAL_BOUND, otherwise
+    Miller-Rabin with the fewest bases proven for n's size (_MR_TIERS).
+    Exact for every n below the last bound, about 3.3e24."""
+    if n < _TRIAL_BOUND:
+        return n in _small_prime_set()
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        bases = _MR_BASES
+    for p in bases:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .arithmetic import DEFAULT_CAP, Factorization, divisors, exact_half
@@ -152,18 +153,19 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     """Compute all eight indices from their definitions on the explicit graph.
 
     Distance-based sums run over unordered vertex pairs with BFS distances,
-    degree-based sums over vertices or edges, and the Harary index is
-    accumulated as an exact rational, never a float.
+    degree-based sums over vertices or edges, and the Harary index is one
+    exact rational over the lcm of the distances, never a float.
     """
     summary, degrees, zagreb2, gutman, schultz = _bfs_sums(g)
     pairs = summary.pairs_at_distance
+    common = lcm(*pairs)
     return IndexReport(
         n=g.n,
         divisor_count=len(g.vertices),
         edge_count=pairs.get(1, 0),
         degree_sum=sum(degrees),
         wiener=sum(d * c for d, c in pairs.items()),
-        harary=sum((Fraction(c, d) for d, c in pairs.items()), Fraction(0)),
+        harary=Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
         hyper_wiener=exact_half(sum((d + d * d) * c for d, c in pairs.items())),
         zagreb1=sum(d * d for d in degrees),
         zagreb2=zagreb2,

@@ -1,3 +1,8 @@
+import csv
+import io
+from functools import cache
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +17,7 @@ from divprime.arithmetic import (
     gcd,
     is_prime,
 )
+from divprime.cli import main
 
 
 def trial_division_is_prime(m: int) -> bool:
@@ -156,6 +162,92 @@ class TestPrimality:
     @settings(max_examples=200)
     def test_agrees_with_trial_division(self, n):
         assert is_prime(n) == trial_division_is_prime(n)
+
+
+# Least strong pseudoprimes to the first k prime bases, psi_1 .. psi_13
+# (OEIS A014233): each passes Miller-Rabin for bases 2 .. p_k.
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+@cache
+def sieve(limit: int) -> bytearray:
+    """flags[m] == 1 exactly when m < limit is prime (Eratosthenes)."""
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return flags
+
+
+def segmented_sieve(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi) for lo > 1, crossing off multiples of every
+    prime up to sqrt(hi) from a window of hi - lo flags."""
+    flags = bytearray([1]) * (hi - lo)
+    base = sieve(isqrt(hi) + 1)
+    for p in range(2, len(base)):
+        if base[p]:
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return [lo + i for i, flag in enumerate(flags) if flag]
+
+
+class TestStrongPseudoprimes:
+    """Composites that fool Miller-Rabin on a fixed prefix of prime bases."""
+
+    def test_is_prime_rejects_every_term(self):
+        assert [n for n in A014233 if is_prime(n)] == []
+
+    def test_factorize_splits_psi_12(self):
+        assert factorize(318665857834031151167461).factors == (
+            (399165290221, 1),
+            (798330580441, 1),
+        )
+
+    def test_factorize_splits_psi_13(self):
+        assert factorize(3317044064679887385961981).factors == (
+            (1287836182261, 1),
+            (2575672364521, 1),
+        )
+
+    def test_compute_counts_four_divisors_of_psi_12(self, capsys):
+        assert main(["compute", "318665857834031151167461", "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert dict(zip(header, row))["D"] == "4"
+
+
+class TestPrimalityTiers:
+    """is_prime switches its Miller-Rabin bases at each bound of
+    arithmetic._MR_TIERS; check it exactly on both sides of the first three."""
+
+    def test_equals_sieve_below_two_million(self):
+        flags = sieve(2 * 10**6)
+        assert [m for m in range(len(flags)) if is_prime(m)] == [
+            m for m, flag in enumerate(flags) if flag
+        ]
+
+    @pytest.mark.parametrize("bound", [3_215_031_751, 3_474_749_660_383])
+    def test_equals_segmented_sieve_around_tier_bound(self, bound):
+        lo, hi = bound - 200, bound + 201
+        assert [m for m in range(lo, hi) if is_prime(m)] == segmented_sieve(lo, hi)
+
+    @pytest.mark.parametrize("exponent", [31, 61, 89, 127])
+    def test_accepts_mersenne_prime(self, exponent):
+        assert is_prime(2**exponent - 1)
 
 
 def test_exact_half():

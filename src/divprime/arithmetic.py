@@ -159,9 +159,10 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Brent's cycle variant of Pollard rho; n must be an odd composite
-    with no prime factor below _TRIAL_BOUND."""
+def _pollard_rho(n: int) -> int:
+    """Brent's cycle variant of Pollard rho with a fixed-seed RNG; n must be
+    an odd composite with no prime factor below _TRIAL_BOUND."""
+    rng = random.Random(_RHO_SEED)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -192,13 +193,24 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         # Degenerate cycle; retry with fresh parameters.
 
 
+def _iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into its canonical prime factorization.
 
-    Trial division by the primes below 10000 first, then Pollard rho with a
-    fixed-seed RNG and Miller-Rabin checks on the remaining cofactors, so the
-    result is deterministic for a given n and comfortably handles inputs far
-    beyond what the explicit graph can represent.
+    Trial division by the primes below 10000 first.  Each composite cofactor
+    left is then split as a perfect power or by Pollard rho with a fixed
+    seed, and Miller-Rabin checks the parts, so the result is deterministic
+    for a given n and comfortably handles inputs far beyond what the
+    explicit graph can represent.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -210,22 +222,24 @@ def factorize(n: int) -> Factorization:
         while remaining % p == 0:
             exponents[p] = exponents.get(p, 0) + 1
             remaining //= p
-    if remaining > 1:
-        if remaining < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(remaining):
-            # Any composite below the bound squared would have had a small
-            # prime factor, so this cofactor is prime.
-            exponents[remaining] = exponents.get(remaining, 0) + 1
+    # What trial division leaves is 1, a prime, or free of primes below
+    # _TRIAL_BOUND, so any cofactor below the bound squared is prime.
+    stack = [remaining] if remaining > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+            continue
+        # Rho takes about sqrt(p) steps on p**k, so split powers first;
+        # every prime left exceeds _TRIAL_BOUND > 2**13.
+        for k in range(2, m.bit_length() // 13 + 1):
+            root = _iroot(m, k)
+            if root**k == m:
+                stack += [root] * k
+                break
         else:
-            rng = random.Random(_RHO_SEED)
-            stack = [remaining]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    exponents[m] = exponents.get(m, 0) + 1
-                    continue
-                d = _pollard_rho(m, rng)
-                stack.append(d)
-                stack.append(m // d)
+            d = _pollard_rho(m)
+            stack += [d, m // d]
     return Factorization(n, tuple(sorted(exponents.items())))
 
 

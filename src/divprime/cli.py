@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from contextlib import suppress
+from fractions import Fraction
 from functools import cache
 from time import perf_counter
 from typing import Sequence
@@ -29,7 +30,7 @@ from typing import Sequence
 from .arithmetic import DEFAULT_CAP, CapExceededError, Factorization, factorize
 from .formulas import cf_report
 from .oracle import build_graph, edges
-from .report import IndexReport, format_rational
+from .report import COMPARED_FIELDS, IndexReport
 from .verify import (
     MISMATCH,
     ORACLE_SKIPPED,
@@ -41,29 +42,15 @@ from .verify import (
 
 __all__ = ["main", "CSV_COLUMNS"]
 
+#: The report field behind each CSV column but the last, and the two columns
+#: named differently from their field.
+_REPORT_FIELDS = ("n", "divisor_count", *COMPARED_FIELDS, "diameter")
+_RENAMED = {"divisor_count": "D", "edge_count": "edges"}
+
 #: Fixed column set for all CSV output.  In compute mode the status column
 #: carries the report's source tag; in verify mode the verification status.
-CSV_COLUMNS = (
-    "n",
-    "D",
-    "edges",
-    "degree_sum",
-    "wiener",
-    "harary",
-    "hyper_wiener",
-    "zagreb1",
-    "zagreb2",
-    "gutman",
-    "schultz",
-    "eccentric_connectivity",
-    "diameter",
-    "status",
-)
-
-_REPORT_FIELD_BY_COLUMN = {
-    "D": "divisor_count",
-    "edges": "edge_count",
-}
+CSV_COLUMNS = (*(_RENAMED.get(field, field) for field in _REPORT_FIELDS), "status")
+_REPORT_FIELD_BY_COLUMN = dict(zip(CSV_COLUMNS, _REPORT_FIELDS))
 
 
 def _positive_int(text: str) -> int:
@@ -140,14 +127,17 @@ def _resolve_cap(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # report rendering
 
 
-def _cell(report: IndexReport, column: str) -> str | None:
-    """One report column as a machine string; None where it is unknown."""
-    if column == "harary":
-        return format_rational(report.harary)
-    if column == "diameter":
-        return None if report.diameter is None else str(report.diameter)
-    field = _REPORT_FIELD_BY_COLUMN.get(column, column)
-    return str(getattr(report, field))
+def _cell(report: IndexReport, column: str, table: bool = False) -> str | None:
+    """One report column as a machine string, None where it is unknown; a
+    rational reads "p/q" ("/1" included), plus its decimal value in a table."""
+    value = getattr(report, _REPORT_FIELD_BY_COLUMN[column])
+    if type(value) is not Fraction:  # isinstance would go through ABCMeta per cell
+        return None if value is None else str(value)
+    text = f"{value.numerator}/{value.denominator}"
+    if table:
+        with suppress(OverflowError):
+            text += f" ({float(value):.6f})"
+    return text
 
 
 def _report_json_dict(report: IndexReport) -> dict:
@@ -185,14 +175,7 @@ def _render(
         headers = [r.source.replace("_", " ") for r in reports]
         rows = [["", *headers]] if len(reports) > 1 else []
         for column in CSV_COLUMNS[1:-1]:
-            row = [column]
-            for report in reports:
-                cell = _cell(report, column)
-                if column == "harary":
-                    with suppress(OverflowError):
-                        cell += f" ({float(report.harary):.6f})"
-                row.append("-" if cell is None else cell)
-            rows.append(row)
+            rows.append([column, *(_cell(r, column, table=True) or "-" for r in reports)])
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -223,20 +206,19 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
         return 1
 
     reports = [result.closed_form, result.oracle]
-    comparisons = result.comparisons
-    mismatched = [c.name for c in comparisons if not c.equal]
-    if result.status == VERIFIED:
-        trailer = [f"status: verified ({len(comparisons)}/{len(comparisons)} comparisons equal)"]
-    else:
-        trailer = [f"status: MISMATCH in {', '.join(mismatched)}"]
-    trailer.append(
+    mismatched = ", ".join(result.mismatches)
+    total = len(COMPARED_FIELDS)
+    trailer = [
+        f"status: MISMATCH in {mismatched}"
+        if result.status == MISMATCH
+        else f"status: verified ({total}/{total} comparisons equal)",
         f"elapsed: closed form {result.elapsed_closed_form:.6f} s, "
-        f"oracle {result.elapsed_oracle:.6f} s"
-    )
-    extra = {"status": result.status, "mismatches": mismatched}
+        f"oracle {result.elapsed_oracle:.6f} s",
+    ]
+    extra = {"status": result.status, "mismatches": list(result.mismatches)}
     _render(args.format, fact, reports, extra, [r.source for r in reports], trailer)
     if result.status == MISMATCH:
-        print(f"mismatch for n = {args.n}: {', '.join(mismatched)}", file=sys.stderr)
+        print(f"mismatch for n = {args.n}: {mismatched}", file=sys.stderr)
         return 1
     return 0
 

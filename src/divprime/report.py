@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["CLOSED_FORM", "COMPARED_FIELDS", "ORACLE", "IndexReport", "format_rational"]
+__all__ = ["CLOSED_FORM", "COMPARED_FIELDS", "ORACLE", "IndexReport"]
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -67,8 +67,3 @@ class IndexReport:
                 raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):
             raise ValueError(f"unknown source tag {self.source!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as an explicit "p/q" string, "/1" included."""
-    return f"{value.numerator}/{value.denominator}"

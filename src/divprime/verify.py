@@ -1,9 +1,9 @@
 """Reconciliation of the closed-form and brute-force paths.
 
 ``verify_n`` computes both reports for one integer and compares all eight
-indices plus the edge count and degree sum, exactly (rationals are already
-in lowest terms, so equality is equality).  ``verify_range`` sweeps an
-interval and aggregates.  A mismatch is data to be reported, never an
+indices plus the edge count and degree sum once, exactly (rationals are
+already in lowest terms, so equality is equality), recording the names of
+the fields that differ.  ``verify_range`` sweeps an interval and aggregates.  A mismatch is data to be reported, never an
 exception, so a sweep always yields its complete mismatch census.
 
 Each verification is pure and independent, so distinct n may be evaluated
@@ -14,7 +14,6 @@ on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 from typing import Iterator
 
@@ -28,7 +27,6 @@ __all__ = [
     "MISMATCH",
     "ORACLE_SKIPPED",
     "VERIFIED",
-    "IndexComparison",
     "SweepSummary",
     "VerificationResult",
     "verify_n",
@@ -42,20 +40,14 @@ ORACLE_SKIPPED = "oracle_skipped"
 
 
 @dataclass(frozen=True)
-class IndexComparison:
-    name: str
-    closed_form: int | Fraction
-    oracle: int | Fraction
-    equal: bool
-
-
-@dataclass(frozen=True)
 class VerificationResult:
     """Outcome of comparing both paths for a single n.
 
-    ``status`` is "verified" when every comparison agrees, "mismatch" when
-    any disagrees, and "oracle_skipped" when the divisor count exceeded the
-    cap (closed-form values are still present, comparisons are empty).
+    ``mismatches`` names the ``COMPARED_FIELDS`` on which the two reports
+    differ, in that order.  ``status`` is "verified" when it is empty,
+    "mismatch" when it is not, and "oracle_skipped" when the divisor count
+    exceeded the cap (closed-form values are still present, ``oracle`` is
+    None and ``mismatches`` is empty).
     """
 
     n: int
@@ -65,14 +57,7 @@ class VerificationResult:
     oracle_skipped_reason: str | None
     elapsed_closed_form: float
     elapsed_oracle: float | None
-
-    @property
-    def comparisons(self) -> tuple[IndexComparison, ...]:
-        """One comparison per ``COMPARED_FIELDS`` entry, derived on request."""
-        if self.oracle is None:
-            return ()
-        values = ((f, getattr(self.closed_form, f), getattr(self.oracle, f)) for f in COMPARED_FIELDS)
-        return tuple(IndexComparison(f, a, b, a == b) for f, a, b in values)
+    mismatches: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -110,6 +95,7 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
 
     count = closed.divisor_count
     oracle = elapsed_oracle = reason = None
+    mismatches: tuple[str, ...] = ()
     if cap is not None and count > cap:
         status = ORACLE_SKIPPED
         reason = f"divisor count {count} exceeds cap {cap}"
@@ -117,8 +103,8 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
         start = perf_counter()
         oracle = oracle_report(build_graph(f, cap=cap))
         elapsed_oracle = perf_counter() - start
-        equal = all(getattr(closed, name) == getattr(oracle, name) for name in COMPARED_FIELDS)
-        status = VERIFIED if equal else MISMATCH
+        mismatches = tuple(k for k in COMPARED_FIELDS if getattr(closed, k) != getattr(oracle, k))
+        status = MISMATCH if mismatches else VERIFIED
     return VerificationResult(
         n=f.n,
         status=status,
@@ -127,17 +113,14 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
         oracle_skipped_reason=reason,
         elapsed_closed_form=elapsed_closed,
         elapsed_oracle=elapsed_oracle,
+        mismatches=mismatches,
     )
-
-
-def _check_range(lo: int, hi: int) -> None:
-    if lo < 1 or hi < lo:
-        raise ValueError(f"invalid range [{lo}, {hi}]: need 1 <= lo <= hi")
 
 
 def verify_results(lo: int, hi: int, cap: int | None = DEFAULT_CAP) -> Iterator[VerificationResult]:
     """Yield verify_n(n) for every n in [lo, hi], in order."""
-    _check_range(lo, hi)
+    if lo < 1 or hi < lo:
+        raise ValueError(f"invalid range [{lo}, {hi}]: need 1 <= lo <= hi")
     for n in range(lo, hi + 1):
         yield verify_n(n, cap=cap)
 

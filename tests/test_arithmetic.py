@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from divprime.arithmetic import (
     CapExceededError,
     Factorization,
+    _iroot,
     divisor_count,
     divisors,
     exact_half,
@@ -228,6 +229,33 @@ class TestStrongPseudoprimes:
         assert main(["compute", "318665857834031151167461", "--format", "csv"]) == 0
         header, row = csv.reader(io.StringIO(capsys.readouterr().out))
         assert dict(zip(header, row))["D"] == "4"
+
+
+M31, M61 = 2**31 - 1, 2**61 - 1
+
+
+class TestPerfectPowers:
+    """Pollard rho needs about sqrt(p) steps on p**k, so factorize splits
+    perfect powers before it runs; these inputs hang without that step."""
+
+    def test_square_of_mersenne_61(self):
+        assert factorize(M61**2).factors == ((M61, 2),)
+
+    def test_cube_of_mersenne_61(self):
+        assert factorize(M61**3).factors == ((M61, 3),)
+
+    def test_mixed_product(self):
+        assert factorize(12 * M31**3 * M61**2).factors == ((2, 2), (3, 1), (M31, 3), (M61, 2))
+
+    @given(st.integers(min_value=1, max_value=2**300), st.integers(min_value=1, max_value=40))
+    def test_iroot_is_floor_of_kth_root(self, m, k):
+        x = _iroot(m, k)
+        assert x**k <= m < (x + 1) ** k
+
+    def test_compute_counts_three_divisors_of_square(self, capsys):
+        assert main(["compute", str(M61**2), "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert dict(zip(header, row))["D"] == "3"
 
 
 class TestPrimalityTiers:

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import divprime.verify
 from divprime.verify import (
     COMPARED_FIELDS,
     MISMATCH,
@@ -17,9 +19,10 @@ class TestVerifyN:
     def test_twelve(self):
         result = verify_n(12, cap=10000)
         assert result.status == VERIFIED
-        assert len(result.comparisons) == 10
-        assert all(c.equal for c in result.comparisons)
-        assert tuple(c.name for c in result.comparisons) == COMPARED_FIELDS
+        assert result.mismatches == ()
+        assert len(COMPARED_FIELDS) == 10
+        for name in COMPARED_FIELDS:
+            assert getattr(result.closed_form, name) == getattr(result.oracle, name)
         assert result.oracle is not None
         assert result.oracle_skipped_reason is None
         assert result.elapsed_closed_form >= 0
@@ -28,15 +31,15 @@ class TestVerifyN:
     def test_one_all_zero(self):
         result = verify_n(1, cap=10000)
         assert result.status == VERIFIED
-        for c in result.comparisons:
-            expected = Fraction(0) if c.name == "harary" else 0
-            assert c.closed_form == expected
-            assert c.oracle == expected
+        for name in COMPARED_FIELDS:
+            expected = Fraction(0) if name == "harary" else 0
+            assert getattr(result.closed_form, name) == expected
+            assert getattr(result.oracle, name) == expected
 
     def test_cap_skip(self):
         result = verify_n(2**60, cap=16)
         assert result.status == ORACLE_SKIPPED
-        assert result.comparisons == ()
+        assert result.mismatches == ()
         assert result.oracle is None
         assert result.elapsed_oracle is None
         assert "61" in result.oracle_skipped_reason
@@ -51,9 +54,21 @@ class TestVerifyN:
 
     def test_values_are_exact(self):
         result = verify_n(360, cap=10000)
-        by_name = {c.name: c for c in result.comparisons}
-        assert isinstance(by_name["harary"].closed_form, Fraction)
-        assert isinstance(by_name["wiener"].closed_form, int)
+        assert isinstance(result.closed_form.harary, Fraction)
+        assert isinstance(result.closed_form.wiener, int)
+
+    def test_mismatches_follow_compared_fields_order(self, monkeypatch):
+        real = divprime.verify.cf_report
+
+        def off_by_one(f):
+            report = real(f)
+            return dataclasses.replace(report, gutman=report.gutman + 1, wiener=report.wiener + 1)
+
+        monkeypatch.setattr(divprime.verify, "cf_report", off_by_one)
+        result = verify_n(30)
+        assert result.status == MISMATCH
+        assert result.mismatches == ("wiener", "gutman")
+        assert result.mismatches == tuple(f for f in COMPARED_FIELDS if f in {"gutman", "wiener"})
 
 
 class TestVerifyRange:

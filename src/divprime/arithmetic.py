@@ -14,8 +14,9 @@ to share across threads or worker processes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
+from itertools import compress
 from math import gcd, prod
 
 __all__ = [
@@ -88,7 +89,7 @@ def _small_primes() -> tuple[int, ...]:
     for p in range(2, int(_TRIAL_BOUND**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(compress(range(_TRIAL_BOUND), sieve))
 
 
 @cache
@@ -126,19 +127,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "n factors")):
     """Canonical prime factorization n = p1**e1 * ... with p1 < p2 < ...
 
-    ``factors`` is a tuple of (prime, exponent) pairs, empty exactly when
-    n == 1.  The constructor validates the invariants, so a Factorization
-    in hand is always trustworthy.
+    ``n`` is an int and ``factors`` a tuple of (prime, exponent) int pairs,
+    empty exactly when n == 1.  The constructor and ``_replace`` validate
+    the invariants, so a Factorization in hand is always trustworthy.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         previous = 1
@@ -152,6 +152,10 @@ class Factorization:
             previous = p
         if prod(p**e for p, e in self.factors) != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
+        return self
+
+    # namedtuple's own _make, behind _replace, bypasses __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __str__(self) -> str:
         if not self.factors:

@@ -21,11 +21,11 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from time import perf_counter
-from typing import Sequence
 
 from .arithmetic import DEFAULT_CAP, CapExceededError, Factorization, factorize
 from .formulas import cf_report
@@ -42,9 +42,9 @@ from .verify import (
 
 __all__ = ["main", "CSV_COLUMNS"]
 
-#: The report field behind each CSV column but the last, and the two columns
-#: named differently from their field.
-_REPORT_FIELDS = ("n", "divisor_count", *COMPARED_FIELDS, "diameter")
+#: The report field behind each CSV column but the last (every field but the
+#: source tag), and the two columns named differently from their field.
+_REPORT_FIELDS = tuple(field for field in IndexReport._fields if field != "source")
 _RENAMED = {"divisor_count": "D", "edge_count": "edges"}
 
 #: Fixed column set for all CSV output.  In compute mode the status column

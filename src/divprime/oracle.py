@@ -23,11 +23,10 @@ list; ``edges`` is for export only.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
 
 from .arithmetic import DEFAULT_CAP, Factorization, divisors, exact_half
 from .report import ORACLE, IndexReport
@@ -43,24 +42,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisorGraph:
-    """Explicit divisor prime graph: ascending divisor list plus symmetric
-    boolean adjacency, row i stored as a bitmask over vertex indices."""
+class DivisorGraph(namedtuple("DivisorGraph", "n vertices adjacency")):
+    """Explicit divisor prime graph of the int n: the tuple of its divisors
+    in ascending order, and a symmetric adjacency tuple, row i an int
+    bitmask over vertex indices."""
 
-    n: int
-    vertices: tuple[int, ...]
-    adjacency: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DistanceSummary:
-    """All-pairs distance histogram (unordered pairs), per-vertex
-    eccentricities, and the diameter."""
+class DistanceSummary(namedtuple("DistanceSummary", "pairs_at_distance eccentricities diameter")):
+    """All-pairs distance histogram (a dict from distance to the count of
+    unordered pairs), per-vertex eccentricities (a tuple of ints), and the
+    int diameter."""
 
-    pairs_at_distance: dict[int, int]
-    eccentricities: tuple[int, ...]
-    diameter: int
+    __slots__ = ()
 
 
 def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph:

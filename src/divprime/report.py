@@ -1,9 +1,6 @@
 """Result container shared by the closed-form and brute-force paths."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import lcm
 
 __all__ = ["CLOSED_FORM", "COMPARED_FIELDS", "ORACLE", "IndexReport"]
@@ -27,33 +24,29 @@ COMPARED_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(
+    namedtuple(
+        "IndexReport",
+        ("n", "divisor_count", *COMPARED_FIELDS, "source", "diameter"),
+        defaults=(None,),
+    )
+):
     """The eight topological indices of one divisor prime graph, plus the
     structural counts they derive from.
 
-    All indices are exact integers except the Harary index, a sum of 1/d
-    over pairs at distance d, so an exact rational whose denominator divides
-    lcm(1..diameter).  ``diameter`` is only known on the brute-force path and
-    is None on closed-form reports, whose graphs have diameter at most 2.
+    Every field is an int except three.  The Harary index is a sum of 1/d
+    over pairs at distance d, so an exact ``Fraction`` whose denominator
+    divides lcm(1..diameter).  ``source`` is the str tag of the path that
+    made the report, ``CLOSED_FORM`` or ``ORACLE``.  ``diameter`` is an int
+    known only on the brute-force path, and None on closed-form reports,
+    whose graphs have diameter at most 2.  The constructor and ``_replace``
+    validate the report.
     """
 
-    n: int
-    divisor_count: int
-    edge_count: int
-    degree_sum: int
-    wiener: int
-    harary: Fraction
-    hyper_wiener: int
-    zagreb1: int
-    zagreb2: int
-    gutman: int
-    schultz: int
-    eccentric_connectivity: int
-    source: str
-    diameter: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         diameter = 2 if self.diameter is None else self.diameter
         bound = lcm(*range(1, diameter + 1))
         if bound % self.harary.denominator:
@@ -67,3 +60,7 @@ class IndexReport:
                 raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):
             raise ValueError(f"unknown source tag {self.source!r}")
+        return self
+
+    # namedtuple's own _make, behind _replace, bypasses __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -13,14 +13,14 @@ on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from time import perf_counter
-from typing import Iterator
 
 from .arithmetic import DEFAULT_CAP, Factorization, factorize
 from .formulas import cf_report
 from .oracle import build_graph, oracle_report
-from .report import COMPARED_FIELDS, IndexReport
+from .report import COMPARED_FIELDS
 
 __all__ = [
     "COMPARED_FIELDS",
@@ -39,42 +39,45 @@ MISMATCH = "mismatch"
 ORACLE_SKIPPED = "oracle_skipped"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    """Outcome of comparing both paths for a single n.
+class VerificationResult(
+    namedtuple(
+        "VerificationResult",
+        "n status closed_form oracle oracle_skipped_reason "
+        "elapsed_closed_form elapsed_oracle mismatches",
+    )
+):
+    """Outcome of comparing both paths for a single int n.
 
-    ``mismatches`` names the ``COMPARED_FIELDS`` on which the two reports
-    differ, in that order.  ``status`` is "verified" when it is empty,
-    "mismatch" when it is not, and "oracle_skipped" when the divisor count
-    exceeded the cap (closed-form values are still present, ``oracle`` is
-    None and ``mismatches`` is empty).
+    ``closed_form`` and ``oracle`` are IndexReports, the elapsed times float
+    seconds, and ``mismatches`` the tuple of ``COMPARED_FIELDS`` on which
+    the two reports differ, in that order.  ``status`` is "verified" when it
+    is empty, "mismatch" when it is not, and "oracle_skipped" when the
+    divisor count exceeded the cap: the closed form is still present,
+    ``oracle`` and ``elapsed_oracle`` are None, ``oracle_skipped_reason``
+    says why (it is None otherwise) and ``mismatches`` is empty.
     """
 
-    n: int
-    status: str
-    closed_form: IndexReport
-    oracle: IndexReport | None
-    oracle_skipped_reason: str | None
-    elapsed_closed_form: float
-    elapsed_oracle: float | None
-    mismatches: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    """Aggregate of a verification sweep over [lo, hi]."""
+class SweepSummary(
+    namedtuple("SweepSummary", "lo hi cap counts mismatching_n max_divisor_count total_elapsed")
+):
+    """Aggregate of a verification sweep over the ints [lo, hi]: the int cap
+    or None, a dict of counts by status, the tuple of mismatching ints, the
+    largest divisor count seen, and the float seconds taken.  The
+    constructor and ``_replace`` check that the counts cover the range."""
 
-    lo: int
-    hi: int
-    cap: int | None
-    counts: dict[str, int]
-    mismatching_n: tuple[int, ...]
-    max_divisor_count: int
-    total_elapsed: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.counts.values()) != self.hi - self.lo + 1:
             raise ValueError("status counts do not cover the full range")
+        return self
+
+    # namedtuple's own _make, behind _replace, bypasses __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def mismatch_free(self) -> bool:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -197,7 +196,7 @@ class TestMismatch:
 
         def off_by_one(f):
             report = real(f)
-            return dataclasses.replace(report, wiener=report.wiener + 1)
+            return report._replace(wiener=report.wiener + 1)
 
         monkeypatch.setattr(divprime.verify, "cf_report", off_by_one)
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -62,7 +61,7 @@ class TestVerifyN:
 
         def off_by_one(f):
             report = real(f)
-            return dataclasses.replace(report, gutman=report.gutman + 1, wiener=report.wiener + 1)
+            return report._replace(gutman=report.gutman + 1, wiener=report.wiener + 1)
 
         monkeypatch.setattr(divprime.verify, "cf_report", off_by_one)
         result = verify_n(30)

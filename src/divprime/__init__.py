@@ -17,9 +17,9 @@ package itself re-exports only the main entry points and the types they
 return; every other name is imported from its own module.
 """
 
-from .arithmetic import DEFAULT_CAP, CapExceededError, Factorization, factorize
+from .arithmetic import Factorization, factorize
 from .formulas import cf_report
-from .oracle import DivisorGraph, build_graph, oracle_report
+from .oracle import DEFAULT_CAP, CapExceededError, DivisorGraph, build_graph, oracle_report
 from .report import IndexReport
 from .verify import SweepSummary, VerificationResult, verify_n, verify_range
 

@@ -13,15 +13,12 @@ to share across threads or worker processes.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import cache
 from itertools import compress
 from math import gcd, prod
 
 __all__ = [
-    "DEFAULT_CAP",
-    "CapExceededError",
     "Factorization",
     "divisor_count",
     "divisors",
@@ -30,14 +27,6 @@ __all__ = [
     "gcd",
     "is_prime",
 ]
-
-#: Largest divisor count for which explicit divisor enumeration (and hence
-#: graph construction) is allowed unless the caller overrides it.  Measured on
-#: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
-#: runs each: at D = 2304 build_graph takes 3-4 ms and oracle_report 58-70 ms;
-#: at D = 4608 they take 8-13 ms and 0.24-0.31 s.  The BFS from every vertex
-#: in oracle_report dominates.
-DEFAULT_CAP = 5000
 
 # Trial division strips primes below this; Pollard rho handles the rest.
 # Kept modest so that factoring thousands of 12-digit numbers stays fast.
@@ -60,18 +49,6 @@ _MR_TIERS = (
     (3_825_123_056_546_413_051, _MR_BASES[:9]),
     (3_317_044_064_679_887_385_961_981, _MR_BASES[:13]),
 )
-
-
-class CapExceededError(ValueError):
-    """Divisor count too large for explicit enumeration."""
-
-    def __init__(self, n: int, count: int, cap: int):
-        super().__init__(
-            f"n = {n} has {count} divisors, above the configured cap of {cap}"
-        )
-        self.n = n
-        self.divisor_count = count
-        self.cap = cap
 
 
 def exact_half(value: int) -> int:
@@ -166,6 +143,8 @@ class Factorization(namedtuple("Factorization", "n factors")):
 def _pollard_rho(n: int) -> int:
     """Brent's cycle variant of Pollard rho with a fixed-seed RNG; n must be
     an odd composite with no prime factor below _TRIAL_BOUND."""
+    import random  # lazily: most inputs never reach rho
+
     rng = random.Random(_RHO_SEED)
     while True:
         y = rng.randrange(1, n)
@@ -253,15 +232,8 @@ def divisor_count(f: Factorization) -> int:
     return prod(e + 1 for _, e in f.factors)
 
 
-def divisors(f: Factorization, cap: int | None = None) -> list[int]:
-    """All positive divisors of f.n in strictly ascending order.
-
-    With ``cap`` set, refuses enumeration when the divisor count exceeds it,
-    signaling that brute-force work on this n is out of reach.
-    """
-    count = divisor_count(f)
-    if cap is not None and count > cap:
-        raise CapExceededError(f.n, count, cap)
+def divisors(f: Factorization) -> list[int]:
+    """All positive divisors of f.n in strictly ascending order."""
     divs = [1]
     for p, e in f.factors:
         powers = [p**i for i in range(1, e + 1)]

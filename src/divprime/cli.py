@@ -5,8 +5,7 @@
     divprime export <n> [--style dot|adjacency-json] [--cap D]
 
 Exit codes: 0 success or verified, 1 mismatch or a cap hit by compute or
-export, 2 usage error.  The DIVPRIME_CAP environment variable overrides
-the built-in oracle cap; an explicit --cap beats both.
+export, 2 usage error.
 
 Machine formats (json, csv) are byte-identical across runs: integers are
 serialized as decimal strings so arbitrary sizes survive any JSON parser,
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections.abc import Sequence
 from contextlib import suppress
@@ -27,9 +25,9 @@ from fractions import Fraction
 from functools import cache
 from time import perf_counter
 
-from .arithmetic import DEFAULT_CAP, CapExceededError, Factorization, factorize
+from .arithmetic import Factorization, factorize
 from .formulas import cf_report
-from .oracle import build_graph, edges
+from .oracle import DEFAULT_CAP, CapExceededError, build_graph, edges
 from .report import COMPARED_FIELDS, IndexReport
 from .verify import (
     MISMATCH,
@@ -92,35 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the brute-force path and diff the two reports",
     )
-    compute.add_argument("--cap", type=_positive_int, default=None)
+    compute.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
 
     verify = sub.add_parser("verify", help="sweep [lo, hi], comparing both paths")
     verify.add_argument("lo", type=_positive_int)
     verify.add_argument("hi", type=_positive_int)
-    verify.add_argument("--cap", type=_positive_int, default=None)
+    verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     export = sub.add_parser("export", help="serialize the graph of one n")
     export.add_argument("n", type=_positive_int)
     export.add_argument("--style", choices=("dot", "adjacency-json"), default="dot")
-    export.add_argument("--cap", type=_positive_int, default=None)
+    export.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
 
     return parser
-
-
-def _resolve_cap(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.cap is not None:
-        return args.cap
-    raw = os.environ.get("DIVPRIME_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        parser.error(f"DIVPRIME_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        parser.error(f"DIVPRIME_CAP must be positive, got {cap}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +169,7 @@ def _render(
 # compute
 
 
-def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
+def _cmd_compute(args: argparse.Namespace) -> int:
     fact = factorize(args.n)
 
     if not args.with_oracle:
@@ -196,7 +179,7 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
         _render(args.format, fact, [report], {}, [report.source], trailer)
         return 0
 
-    result = verify_n(fact, cap=cap)
+    result = verify_n(fact, cap=args.cap)
     if result.status == ORACLE_SKIPPED:
         reason = result.oracle_skipped_reason
         extra = {"status": ORACLE_SKIPPED, "oracle_skipped_reason": reason}
@@ -227,14 +210,14 @@ def _cmd_compute(args: argparse.Namespace, cap: int) -> int:
 # verify
 
 
-def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         # Stream one row per n; values from the closed form, diameter from
         # the oracle when it ran.
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         mismatches = 0
-        for result in verify_results(args.lo, args.hi, cap=cap):
+        for result in verify_results(args.lo, args.hi, cap=args.cap):
             row = _csv_row(result.closed_form, result.status)
             if result.oracle is not None:
                 row[CSV_COLUMNS.index("diameter")] = str(result.oracle.diameter)
@@ -242,7 +225,7 @@ def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
             mismatches += result.status == MISMATCH
         return 1 if mismatches else 0
 
-    summary = verify_range(args.lo, args.hi, cap=cap)
+    summary = verify_range(args.lo, args.hi, cap=args.cap)
     counts = summary.counts
     if args.format == "json":
         data = {
@@ -273,10 +256,10 @@ def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
 # export
 
 
-def _cmd_export(args: argparse.Namespace, cap: int) -> int:
+def _cmd_export(args: argparse.Namespace) -> int:
     fact = factorize(args.n)
     try:
-        graph = build_graph(fact, cap=cap)
+        graph = build_graph(fact, cap=args.cap)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -301,14 +284,13 @@ def _cmd_export(args: argparse.Namespace, cap: int) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cap = _resolve_cap(args, parser)
     if args.command == "compute":
-        return _cmd_compute(args, cap)
+        return _cmd_compute(args)
     if args.command == "verify":
         if args.lo > args.hi:
             parser.error(f"invalid range: lo={args.lo} exceeds hi={args.hi}")
-        return _cmd_verify(args, cap)
-    return _cmd_export(args, cap)
+        return _cmd_verify(args)
+    return _cmd_export(args)
 
 
 if __name__ == "__main__":

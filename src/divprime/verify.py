@@ -3,8 +3,9 @@
 ``verify_n`` computes both reports for one integer and compares all eight
 indices plus the edge count and degree sum once, exactly (rationals are
 already in lowest terms, so equality is equality), recording the names of
-the fields that differ.  ``verify_range`` sweeps an interval and aggregates.  A mismatch is data to be reported, never an
-exception, so a sweep always yields its complete mismatch census.
+the fields that differ.  ``verify_range`` sweeps an interval and
+aggregates.  A mismatch is data to be reported, never an exception, so a
+sweep always yields its complete mismatch census.
 
 Each verification is pure and independent, so distinct n may be evaluated
 concurrently; the sweep summary is a commutative merge and does not depend
@@ -17,9 +18,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 from time import perf_counter
 
-from .arithmetic import DEFAULT_CAP, Factorization, factorize
+from .arithmetic import Factorization, factorize
 from .formulas import cf_report
-from .oracle import build_graph, oracle_report
+from .oracle import DEFAULT_CAP, CapExceededError, build_graph, oracle_report
 from .report import COMPARED_FIELDS
 
 __all__ = [
@@ -96,15 +97,16 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
     closed = cf_report(f)
     elapsed_closed = perf_counter() - start
 
-    count = closed.divisor_count
     oracle = elapsed_oracle = reason = None
     mismatches: tuple[str, ...] = ()
-    if cap is not None and count > cap:
+    start = perf_counter()
+    try:
+        graph = build_graph(f, cap=cap)
+    except CapExceededError as exc:
         status = ORACLE_SKIPPED
-        reason = f"divisor count {count} exceeds cap {cap}"
+        reason = f"divisor count {exc.divisor_count} exceeds cap {exc.cap}"
     else:
-        start = perf_counter()
-        oracle = oracle_report(build_graph(f, cap=cap))
+        oracle = oracle_report(graph)
         elapsed_oracle = perf_counter() - start
         mismatches = tuple(k for k in COMPARED_FIELDS if getattr(closed, k) != getattr(oracle, k))
         status = MISMATCH if mismatches else VERIFIED

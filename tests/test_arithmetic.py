@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divprime.arithmetic import (
-    CapExceededError,
     Factorization,
     _iroot,
     divisor_count,
@@ -106,13 +105,6 @@ class TestDivisors:
 
     def test_thirty(self):
         assert divisors(factorize(30)) == [1, 2, 3, 5, 6, 10, 15, 30]
-
-    def test_cap_refusal(self):
-        with pytest.raises(CapExceededError) as err:
-            divisors(factorize(12), cap=5)
-        assert err.value.divisor_count == 6
-        assert err.value.cap == 5
-        assert divisors(factorize(12), cap=6) == [1, 2, 3, 4, 6, 12]
 
     @given(st.integers(min_value=1, max_value=20000))
     def test_matches_count_and_is_sorted(self, n):

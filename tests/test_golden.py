@@ -58,8 +58,7 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(("argv", "code", "digest"), GOLDEN, ids=["_".join(c[0]) for c in GOLDEN])
-def test_output_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, argv, code, digest):
-    monkeypatch.delenv("DIVPRIME_CAP", raising=False)
+def test_output_is_byte_identical_to_the_recorded_digest(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -119,8 +118,7 @@ _ELAPSED = re.compile(r"\d+\.\d+ s")
 @pytest.mark.parametrize(
     ("argv", "code", "digest", "err"), GOLDEN_OUTCOMES, ids=["_".join(c[0]) for c in GOLDEN_OUTCOMES]
 )
-def test_outcome_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, argv, code, digest, err):
-    monkeypatch.delenv("DIVPRIME_CAP", raising=False)
+def test_outcome_is_byte_identical_to_the_recorded_digest(capsys, argv, code, digest, err):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     out = captured.out if "--format" in argv else _ELAPSED.sub("- s", captured.out)

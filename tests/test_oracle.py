@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divprime.arithmetic import CapExceededError, factorize
+import divprime.oracle
+from divprime.arithmetic import factorize
 from divprime.formulas import cf_report
 from divprime.oracle import (
+    CapExceededError,
     DistanceSummary,
     DivisorGraph,
     build_graph,
@@ -44,6 +46,18 @@ class TestBuildGraph:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             build_graph(factorize(720720), cap=100)
+
+    @pytest.mark.parametrize(("n", "count"), [(12, 6), (720720, 240)])
+    def test_cap_refuses_above_the_divisor_count(self, monkeypatch, n, count):
+        enumerated = []
+        real = divprime.oracle.divisors
+        monkeypatch.setattr(divprime.oracle, "divisors", lambda f: enumerated.append(f) or real(f))
+        with pytest.raises(CapExceededError) as err:
+            build_graph(factorize(n), cap=count - 1)
+        assert (err.value.n, err.value.divisor_count, err.value.cap) == (n, count, count - 1)
+        assert str(err.value) == f"n = {n} has {count} divisors, above the configured cap of {count - 1}"
+        assert enumerated == []  # refused before any divisor was enumerated
+        assert len(build_graph(factorize(n), cap=count).vertices) == count
 
     @given(st.integers(min_value=2, max_value=4000))
     @settings(max_examples=60)

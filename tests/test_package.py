@@ -27,6 +27,16 @@ def test_every_public_name_resolves():
     assert stale == []
 
 
+def test_the_oracle_owns_the_cap():
+    import divprime.arithmetic
+    import divprime.oracle
+
+    assert divprime.DEFAULT_CAP is divprime.oracle.DEFAULT_CAP
+    assert divprime.CapExceededError is divprime.oracle.CapExceededError
+    source = Path(divprime.arithmetic.__file__).read_text()
+    assert "cap" not in source.lower()
+
+
 def test_oracle_never_imports_formulas():
     # The oracle is the independent check on the closed form, so it must not
     # read formulas.py in any spelling of the import.
@@ -111,11 +121,12 @@ def test_replace_validates_like_the_constructor(make_bad):
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     # Importing the CLI is most of a one-shot command's own time.  -S skips
-    # site, whose .pth files may import typing and so hide a regression.
+    # site, whose .pth files may import typing or random and so hide a
+    # regression; random is needed only once Pollard rho runs.
     src = str(Path(divprime.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import divprime.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'random', 'typing'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True

@@ -51,6 +51,18 @@ class TestVerifyN:
         result = verify_n(2**60, cap=None)
         assert result.status == VERIFIED
 
+    def test_closed_form_cannot_switch_off_the_oracle(self, monkeypatch):
+        # The cap is judged on the oracle's own divisor count, never on the
+        # path it checks.
+        real = divprime.verify.cf_report
+        monkeypatch.setattr(
+            divprime.verify, "cf_report", lambda f: real(f)._replace(divisor_count=10**6)
+        )
+        result = verify_n(12)
+        assert result.status == VERIFIED
+        assert result.oracle.divisor_count == 6
+        assert result.oracle_skipped_reason is None
+
     def test_values_are_exact(self):
         result = verify_n(360, cap=10000)
         assert isinstance(result.closed_form.harary, Fraction)

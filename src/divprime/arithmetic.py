@@ -1,4 +1,4 @@
-"""Integer factorization, divisor enumeration, and gcd.
+"""Integer factorization, primality and divisor enumeration.
 
 Both computation paths consume the canonical :class:`Factorization` built
 here: the closed forms read only the prime exponents, the brute-force graph
@@ -24,7 +24,6 @@ __all__ = [
     "divisors",
     "exact_half",
     "factorize",
-    "gcd",
     "is_prime",
 ]
 

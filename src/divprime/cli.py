@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    divprime compute <n> [--format table|json|csv] [--with-oracle] [--cap D]
+    divprime compute <n> [--format table|json|csv] [--with-oracle [--cap D]]
     divprime verify <lo> <hi> [--cap D] [--format table|json|csv]
     divprime export <n> [--style dot|adjacency-json] [--cap D]
 
@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the brute-force path and diff the two reports",
     )
-    compute.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
+    # No default, so that a --cap given without --with-oracle can be refused.
+    compute.add_argument("--cap", type=_positive_int)
 
     verify = sub.add_parser("verify", help="sweep [lo, hi], comparing both paths")
     verify.add_argument("lo", type=_positive_int)
@@ -179,7 +180,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         _render(args.format, fact, [report], {}, [report.source], trailer)
         return 0
 
-    result = verify_n(fact, cap=args.cap)
+    result = verify_n(fact, cap=args.cap or DEFAULT_CAP)
     if result.status == ORACLE_SKIPPED:
         reason = result.oracle_skipped_reason
         extra = {"status": ORACLE_SKIPPED, "oracle_skipped_reason": reason}
@@ -249,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if summary.mismatching_n:
             print("mismatching n:", ", ".join(map(str, summary.mismatching_n)))
         print(f"elapsed: {summary.total_elapsed:.3f} s")
-    return 0 if summary.mismatch_free else 1
+    return 1 if summary.mismatching_n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "compute":
+        if args.cap is not None and not args.with_oracle:
+            parser.error("argument --cap: requires --with-oracle")
         return _cmd_compute(args)
     if args.command == "verify":
         if args.lo > args.hi:

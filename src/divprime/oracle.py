@@ -37,7 +37,6 @@ __all__ = [
     "DistanceSummary",
     "DivisorGraph",
     "build_graph",
-    "degree_of",
     "distance_summary",
     "edges",
     "oracle_report",
@@ -103,13 +102,6 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
         rows.append(row)
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
     return DivisorGraph(n=f.n, vertices=tuple(verts), adjacency=tuple(rows))
-
-
-def degree_of(g: DivisorGraph, index: int) -> int:
-    """Number of vertices adjacent to the vertex at ``index``."""
-    if not 0 <= index < len(g.vertices):
-        raise IndexError(f"vertex index {index} out of range for {len(g.vertices)} vertices")
-    return g.adjacency[index].bit_count()
 
 
 def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:

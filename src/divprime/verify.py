@@ -24,7 +24,6 @@ from .oracle import DEFAULT_CAP, CapExceededError, build_graph, oracle_report
 from .report import COMPARED_FIELDS
 
 __all__ = [
-    "COMPARED_FIELDS",
     "MISMATCH",
     "ORACLE_SKIPPED",
     "VERIFIED",
@@ -79,10 +78,6 @@ class SweepSummary(
 
     # namedtuple's own _make, behind _replace, bypasses __new__.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-    @property
-    def mismatch_free(self) -> bool:
-        return not self.mismatching_n
 
 
 def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> VerificationResult:

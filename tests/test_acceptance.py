@@ -13,7 +13,7 @@ from time import perf_counter
 from divprime.arithmetic import divisor_count, divisors, factorize
 from divprime.cli import main
 from divprime.formulas import cf_degree, cf_report
-from divprime.oracle import build_graph, degree_of, distance_summary, edges, oracle_report
+from divprime.oracle import build_graph, distance_summary, edges, oracle_report
 from divprime.verify import verify_range
 
 
@@ -118,7 +118,7 @@ def test_criterion_6_degree_formula_against_oracle():
             f = factorize(n)
             g = build_graph(f)
             degs = [cf_degree(f, d) for d in divisors(f)]
-            assert degs == [degree_of(g, i) for i in range(len(g.vertices))], n
+            assert degs == [row.bit_count() for row in g.adjacency], n
             assert sum(degs) == 2 * sum(1 for _ in edges(g)), n
 
 
@@ -139,5 +139,5 @@ def test_criterion_7_export_round_trip(capsys):
             assert vertices == list(g.vertices), n
             assert len(edge_list) == sum(1 for _ in edges(g)), n
             assert [degree[v] for v in vertices] == [
-                degree_of(g, i) for i in range(len(g.vertices))
+                row.bit_count() for row in g.adjacency
             ], n

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from divprime.cli import CSV_COLUMNS, main
-from divprime.oracle import build_graph, degree_of, edges
+from divprime.oracle import build_graph, edges
 from divprime.arithmetic import factorize
 
 
@@ -107,6 +107,14 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "12", "--with-oracle")
         assert code == 0 and err == ""
         assert "status: verified" in out
+
+    @pytest.mark.parametrize("cap", ["4", "5000"])
+    def test_cap_without_oracle_is_usage_error(self, capsys, cap):
+        with pytest.raises(SystemExit) as err:
+            main(["compute", "12", "--cap", cap])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--cap" in message and "--with-oracle" in message
 
     def test_with_oracle_factorizes_once(self, capsys, monkeypatch):
         import divprime.cli
@@ -222,6 +230,19 @@ class TestMismatch:
         assert code == 1
         assert [r[-1] for r in list(csv.reader(io.StringIO(out)))[1:]] == ["mismatch"] * 5
 
+    def test_verify_table_lists_mismatching_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "1", "5")
+        assert code == 1
+        assert "0 verified, 5 mismatches" in out
+        assert "mismatching n: 1, 2, 3, 4, 5\n" in out
+
+    def test_verify_json_lists_mismatching_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "1", "5", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["mismatch"] == "5"
+        assert data["mismatching_n"] == ["1", "2", "3", "4", "5"]
+
 
 class TestExport:
     def test_dot_fifteen(self, capsys):
@@ -260,7 +281,7 @@ class TestExport:
         g = build_graph(factorize(30))
         assert len(edge_list) == sum(1 for _ in edges(g))
         assert [degree[v] for v in vertices] == [
-            degree_of(g, i) for i in range(len(g.vertices))
+            row.bit_count() for row in g.adjacency
         ]
 
     def test_edges_ascending(self, capsys):
@@ -288,6 +309,12 @@ class TestParserReuse:
     def test_cap_does_not_carry_over(self, capsys):
         code, _, err = run(capsys, "compute", "12", "--with-oracle", "--cap", "3")
         assert code == 1 and "exceeds cap 3" in err
+        code, out, _ = run(capsys, "compute", "12", "--with-oracle")
+        assert code == 0 and "status: verified" in out
+
+    def test_cap_refusal_does_not_carry_over(self, capsys):
+        code, err = self.usage_error(capsys, "compute", "12", "--cap", "4")
+        assert code == 2 and "--with-oracle" in err
         code, out, _ = run(capsys, "compute", "12", "--with-oracle")
         assert code == 0 and "status: verified" in out
 

@@ -14,13 +14,11 @@ from divprime.oracle import (
     DistanceSummary,
     DivisorGraph,
     build_graph,
-    degree_of,
     distance_summary,
     edges,
     oracle_report,
 )
-from divprime.report import IndexReport
-from divprime.verify import COMPARED_FIELDS
+from divprime.report import COMPARED_FIELDS, IndexReport
 
 
 def graph_of(n, cap=None):
@@ -73,26 +71,19 @@ class TestBuildGraph:
     def test_central_vertex_adjacent_to_all(self):
         for n in (2, 12, 30, 360):
             g = graph_of(n)
-            assert degree_of(g, 0) == len(g.vertices) - 1
+            assert g.adjacency[0].bit_count() == len(g.vertices) - 1
 
 
-class TestDegreeOf:
+class TestDegrees:
     def test_twenty(self):
         g = graph_of(20)
         assert g.vertices == (1, 2, 4, 5, 10, 20)
-        assert degree_of(g, g.vertices.index(1)) == 5
-        assert degree_of(g, g.vertices.index(5)) == 3
-        assert degree_of(g, g.vertices.index(10)) == 1
+        assert g.adjacency[g.vertices.index(1)].bit_count() == 5
+        assert g.adjacency[g.vertices.index(5)].bit_count() == 3
+        assert g.adjacency[g.vertices.index(10)].bit_count() == 1
 
     def test_one(self):
-        assert degree_of(graph_of(1), 0) == 0
-
-    def test_out_of_range(self):
-        g = graph_of(12)
-        with pytest.raises(IndexError):
-            degree_of(g, 6)
-        with pytest.raises(IndexError):
-            degree_of(g, -1)
+        assert graph_of(1).adjacency[0].bit_count() == 0
 
 
 class TestDistanceSummary:
@@ -397,7 +388,7 @@ class TestStructuralInvariants:
         assert r.degree_sum == 2 * r.edge_count
 
         if n >= 2:
-            assert degree_of(g, 0) == count - 1
+            assert g.adjacency[0].bit_count() == count - 1
             # diameter-2 identities on pure oracle values
             assert r.gutman == r.degree_sum**2 - r.zagreb1 - r.zagreb2
             assert r.schultz == 2 * (count - 1) * r.degree_sum - r.zagreb1

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 import divprime.verify
+from divprime.report import COMPARED_FIELDS
 from divprime.verify import (
-    COMPARED_FIELDS,
     MISMATCH,
     ORACLE_SKIPPED,
     VERIFIED,
@@ -83,11 +83,22 @@ class TestVerifyN:
 
 
 class TestVerifyRange:
+    def test_mismatches_are_listed(self, monkeypatch):
+        real = divprime.verify.cf_report
+
+        def off_by_one(f):
+            report = real(f)
+            return report._replace(wiener=report.wiener + 1)
+
+        monkeypatch.setattr(divprime.verify, "cf_report", off_by_one)
+        summary = verify_range(1, 5)
+        assert summary.counts == {VERIFIED: 0, MISMATCH: 5, ORACLE_SKIPPED: 0}
+        assert summary.mismatching_n == (1, 2, 3, 4, 5)
+
     def test_first_hundred(self):
         summary = verify_range(1, 100, cap=10000)
         assert summary.counts == {VERIFIED: 100, MISMATCH: 0, ORACLE_SKIPPED: 0}
         assert summary.mismatching_n == ()
-        assert summary.mismatch_free
         assert summary.max_divisor_count == 12  # 60, 72, 84, 90, and 96
 
     def test_single_point(self):

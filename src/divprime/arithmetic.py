@@ -4,8 +4,9 @@ Both computation paths consume the canonical :class:`Factorization` built
 here: the closed forms read only the prime exponents, the brute-force graph
 oracle enumerates the actual divisors.  Plain Python ints are used
 throughout, so every value is exact at any size.  Primality is a set lookup
-below the trial-division bound and Miller-Rabin with size-dependent proven
-bases above it, so its cost follows the size of its input.
+below the trial-division bound, then Miller-Rabin with the bases proven for
+n's size below psi_13 (about 3.3e24), so its cost follows that size; past
+psi_13 all fourteen bases give a deterministic test that is not proven.
 
 All functions are pure and all returned values immutable, so they are safe
 to share across threads or worker processes.

@@ -72,7 +72,7 @@ def _positive_int(text: str) -> int:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process: a parser is a web of cyclic objects, and one per
     # call would leave all of them for the cycle collector.
     parser = argparse.ArgumentParser(
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--style", choices=("dot", "adjacency-json"), default="dot")
     export.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
 
-    return parser
+    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +283,15 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "compute":
         if args.cap is not None and not args.with_oracle:
-            parser.error("argument --cap: requires --with-oracle")
+            commands["compute"].error("argument --cap: requires --with-oracle")
         return _cmd_compute(args)
     if args.command == "verify":
         if args.lo > args.hi:
-            parser.error(f"invalid range: lo={args.lo} exceeds hi={args.hi}")
+            commands["verify"].error(f"invalid range: lo={args.lo} exceeds hi={args.hi}")
         return _cmd_verify(args)
     return _cmd_export(args)
 

@@ -5,7 +5,9 @@ are adjacent exactly when their gcd is 1 (the loop at divisor 1 is
 dropped).  Two divisors of n are coprime exactly when no prime of n
 divides both, so the adjacency row of a divisor is the AND, over the primes
 dividing it, of one mask per prime marking the divisors that prime does not
-divide.  Every index is computed from its defining sum over the graph, with
+divide.  That row depends only on the divisor's prime support, so it is
+built once per support and shared by every divisor with that support.
+Every index is computed from its defining sum over the graph, with
 distances found by breadth-first search from every vertex.  Nothing here
 assumes the diameter bound or any other closed-form shortcut, which is
 what makes this module usable as an independent check.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
 from .report import ORACLE, IndexReport
@@ -45,8 +47,8 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
-#: runs each: at D = 2304 build_graph takes 3-4 ms and oracle_report 58-70 ms;
-#: at D = 4608 they take 8-13 ms and 0.24-0.31 s.  The BFS from every vertex
+#: runs each: at D = 2304 build_graph takes 3-4 ms and oracle_report 77-96 ms;
+#: at D = 4608 they take 6-9 ms and 0.30-0.34 s.  The BFS from every vertex
 #: in oracle_report dominates.
 DEFAULT_CAP = 5000
 
@@ -66,7 +68,8 @@ class CapExceededError(ValueError):
 class DivisorGraph(namedtuple("DivisorGraph", "n vertices adjacency")):
     """Explicit divisor prime graph of the int n: the tuple of its divisors
     in ascending order, and a symmetric adjacency tuple, row i an int
-    bitmask over vertex indices."""
+    bitmask over vertex indices.  Divisors with the same prime support
+    share one row object, so there are 2^omega(n) rows in memory."""
 
     __slots__ = ()
 
@@ -86,20 +89,15 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     if cap is not None and (count := divisor_count(f)) > cap:
         raise CapExceededError(f.n, count, cap)
     verts = divisors(f)
-    everything = (1 << len(verts)) - 1
-    # Bit i of p's mask is set when p does not divide verts[i].  Base 2 is
-    # exempt from the int/str digit limit, so any divisor count parses.
-    free_of = [
-        (p, int("".join("1" if v % p else "0" for v in reversed(verts)), 2))
-        for p, _ in f.factors
-    ]
-    rows = []
-    for v in verts:
-        row = everything
-        for p, mask in free_of:
-            if v % p == 0:
-                row &= mask
-        rows.append(row)
+    # One row per squarefree divisor s of n, shared by every divisor with
+    # s's prime support.  Bit i of ``free`` is set when p does not divide
+    # verts[i]; base 2 is exempt from the int/str digit limit.
+    row_of = {1: (1 << len(verts)) - 1}
+    for p, _ in f.factors:
+        free = int("".join("1" if v % p else "0" for v in reversed(verts)), 2)
+        row_of |= {s * p: row & free for s, row in row_of.items()}
+    radical = max(row_of)
+    rows = [row_of[gcd(v, radical)] for v in verts]
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
     return DivisorGraph(n=f.n, vertices=tuple(verts), adjacency=tuple(rows))
 

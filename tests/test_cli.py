@@ -297,6 +297,14 @@ class TestExport:
         assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [["compute", "12", "--cap", "4"], ["verify", "9", "3"]])
+def test_subcommand_usage_error_prints_its_usage(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: divprime {argv[0]} ")
+
+
 class TestParserReuse:
     """main() builds its parser once per process; no call may leave state
     behind for the next."""

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -368,6 +369,32 @@ class TestAdjacencyAtLargeD:
         g = graph_of(3**1199)
         everything = (1 << 1200) - 1
         assert g.adjacency == (everything ^ 1, *[1] * 1199) == gcd_adjacency(g.vertices)
+
+
+class TestSharedRows:
+    """Rows are built once per prime support of a divisor and shared."""
+
+    F = factorize(prod(p**3 for p in (2, 3, 5, 7, 11, 13)))  # D = 4096
+
+    def test_one_row_object_per_prime_support(self):
+        g = build_graph(self.F)
+        assert len(g.vertices) == 4096
+        assert len({id(row) for row in g.adjacency}) == 2**6
+        radical = prod(p for p, _ in self.F.factors)
+        first: dict[int, int] = {}
+        for v, row in zip(g.vertices, g.adjacency):
+            assert row is first.setdefault(gcd(v, radical), row)
+
+    def test_build_memory_grows_with_the_supports(self):
+        # One D-bit int per vertex would peak near 1.3 MiB here; 2^6 shared
+        # rows stay under 0.3 MiB.
+        tracemalloc.start()
+        try:
+            build_graph(self.F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
 
 
 class TestStructuralInvariants:

@@ -15,12 +15,12 @@ what makes this module usable as an independent check.
 Adjacency rows are stored as int bitmasks, one bit per vertex.  One loop
 runs the BFS from every vertex for both ``oracle_report`` and
 ``distance_summary``, walking whole frontier masks level by level and
-stopping once every vertex has been seen.  Pair sums are taken per level:
-the level's vertices above the source are counted by popcount, and their
-degree sum is the popcount against one mask per distinct degree, times
-that degree.  Level 1 is the source's neighbourhood, so the edge count and
-the second Zagreb index come off it and the oracle never walks the edge
-list; ``edges`` is for export only.
+stopping once every vertex has been seen.  Each level's vertices above the
+source are counted by popcount, so each pair at each distance is counted
+once, and level 1 gives the edge count without walking the edge list
+(``edges`` is for export only).  The degree-weighted indices are sums over
+ordered pairs instead: expanding a level adds up its degrees, and the last
+level, never expanded, has the total degree less every earlier level.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
-from .report import ORACLE, IndexReport
+from .report import ORACLE, IndexReport, _check_handshake
 
 __all__ = [
     "DEFAULT_CAP",
@@ -47,8 +47,8 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
-#: runs each: at D = 2304 build_graph takes 3-4 ms and oracle_report 77-96 ms;
-#: at D = 4608 they take 6-9 ms and 0.30-0.34 s.  The BFS from every vertex
+#: runs each: at D = 2304 build_graph takes 2-3 ms and oracle_report 35-59 ms;
+#: at D = 4608 they take 5-6 ms and 0.17-0.22 s.  The BFS from every vertex
 #: in oracle_report dominates.
 DEFAULT_CAP = 5000
 
@@ -113,42 +113,48 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
 
 
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
-    """One BFS from every vertex, summed per level: the distance summary,
-    the degrees, and the second Zagreb, Gutman and Schultz sums."""
+    """One BFS from every vertex: the distance summary, the degrees, and the
+    second Zagreb, Gutman and Schultz sums over ordered pairs, which are
+    twice the first two indices and the Schultz index itself.  With D_l the
+    degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
+    W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
+    sum of deg(t) times the transmission of t, the Schultz index."""
     adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
-    degree_classes: dict[int, int] = {}
-    for i, d in enumerate(degrees):
-        degree_classes[d] = degree_classes.get(d, 0) | 1 << i
+    total = sum(degrees)
     pairs: Counter[int] = Counter()
     eccentricities = []
     zagreb2 = gutman = schultz = 0
     for source, deg_s in enumerate(degrees):
         above = -1 << (source + 1)
         seen = frontier = 1 << source
-        level = 0
+        level = weighted = 0
+        rest = total  # degree sum of the vertices not yet expanded
         while seen != everything:
-            reach = 0
+            reach = dsum = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= adjacency[low.bit_length() - 1]
+                i = low.bit_length() - 1
+                reach |= adjacency[i]
+                dsum += degrees[i]
                 frontier ^= low
+            weighted += level * dsum
+            rest -= dsum
+            if level == 1:
+                zagreb2 += deg_s * dsum
             frontier = reach & ~seen
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
             seen |= frontier
             level += 1
-            targets = frontier & above
-            if not targets:
-                continue
-            k = targets.bit_count()
-            dsum = sum(d * (targets & mask).bit_count() for d, mask in degree_classes.items())
-            pairs[level] += k
-            if level == 1:  # targets are the source's neighbours above it
-                zagreb2 += deg_s * dsum
-            gutman += deg_s * dsum * level
-            schultz += (deg_s * k + dsum) * level
+            if targets := frontier & above:
+                pairs[level] += targets.bit_count()
+        weighted += level * rest  # the last level
+        if level == 1:
+            zagreb2 += deg_s * rest
+        gutman += deg_s * weighted
+        schultz += weighted
         eccentricities.append(level)
     summary = DistanceSummary(dict(pairs), tuple(eccentricities), max(eccentricities, default=0))
     return summary, degrees, zagreb2, gutman, schultz
@@ -163,23 +169,30 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     """Compute all eight indices from their definitions on the explicit graph.
 
     Distance-based sums run over unordered vertex pairs with BFS distances,
-    degree-based sums over vertices or edges, and the Harary index is one
-    exact rational over the lcm of the distances, never a float.
+    and the Harary index is one exact rational over the lcm of the
+    distances, never a float.  The second Zagreb and Gutman indices are
+    halves of sums over ordered pairs, so the rows must be symmetric and
+    loop-free, as ``build_graph`` makes them: an adjacency that passes the
+    handshake check without being so may raise ``ArithmeticError`` from
+    ``exact_half`` or give meaningless values.
     """
     summary, degrees, zagreb2, gutman, schultz = _bfs_sums(g)
     pairs = summary.pairs_at_distance
+    edge_count, degree_sum = pairs.get(1, 0), sum(degrees)
+    # Before halving: an adjacency the handshake rejects gets its ValueError.
+    _check_handshake(degree_sum, edge_count)
     common = lcm(*pairs)
     return IndexReport(
         n=g.n,
         divisor_count=len(g.vertices),
-        edge_count=pairs.get(1, 0),
-        degree_sum=sum(degrees),
+        edge_count=edge_count,
+        degree_sum=degree_sum,
         wiener=sum(d * c for d, c in pairs.items()),
         harary=Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
         hyper_wiener=exact_half(sum((d + d * d) * c for d, c in pairs.items())),
         zagreb1=sum(d * d for d in degrees),
-        zagreb2=zagreb2,
-        gutman=gutman,
+        zagreb2=exact_half(zagreb2),
+        gutman=exact_half(gutman),
         schultz=schultz,
         eccentric_connectivity=sum(d * e for d, e in zip(degrees, summary.eccentricities)),
         source=ORACLE,

@@ -51,10 +51,7 @@ class IndexReport(
         bound = lcm(*range(1, diameter + 1))
         if bound % self.harary.denominator:
             raise ValueError(f"harary denominator must divide {bound}: {self.harary}")
-        if self.degree_sum != 2 * self.edge_count:
-            raise ValueError(
-                f"degree sum {self.degree_sum} != twice edge count {self.edge_count}"
-            )
+        _check_handshake(self.degree_sum, self.edge_count)
         for name in COMPARED_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -64,3 +61,9 @@ class IndexReport(
 
     # namedtuple's own _make, behind _replace, bypasses __new__.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+def _check_handshake(degree_sum: int, edge_count: int) -> None:
+    """Raise ValueError unless the degree sum is twice the edge count."""
+    if degree_sum != 2 * edge_count:
+        raise ValueError(f"degree sum {degree_sum} != twice edge count {edge_count}")

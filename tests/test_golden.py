@@ -20,6 +20,11 @@ GOLDEN = [
         "056fa7274bb6510c660c14cb364864dec7125f9ef74ef37a47c8933864f1d9ce",
     ),
     (
+        ("verify", "1", "10000", "--format", "csv"),
+        0,
+        "4dff4367a586b6c79c87c540bd7d01839531aa5621fd81f63b3c30c15131e895",
+    ),
+    (
         ("verify", "1", "300", "--format", "json"),
         0,
         "15a97a16024eac2da74959d46875649085c48ba37f8f0346f8ef8364f5e09bf0",

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divprime.oracle
@@ -226,6 +227,46 @@ class TestNonDivisorGraphs:
             oracle_report(g)
         assert distance_summary(g) == DistanceSummary({1: 3}, (1, 1, 2), 2)
 
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda count: st.lists(
+                st.integers(min_value=0, max_value=(1 << count) - 1),
+                min_size=count,
+                max_size=count,
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_handshake_is_checked_before_any_halving(self, rows):
+        # Random directed rows: the oracle halves ordered degree-weighted
+        # sums, which are odd on many of these, but an adjacency the
+        # handshake rejects must fail with the handshake's ValueError (or
+        # as disconnected, found first), never with an ArithmeticError.
+        count = len(rows)
+        degree_sum = sum(row.bit_count() for row in rows)
+        edge_count = sum((row >> (i + 1)).bit_count() for i, row in enumerate(rows))
+        assume(degree_sum != 2 * edge_count)
+        everything = (1 << count) - 1
+        reaches_all = True
+        for source in range(count):
+            seen = frontier = 1 << source
+            while frontier:
+                reach = 0
+                for i in range(count):
+                    if frontier >> i & 1:
+                        reach |= rows[i]
+                frontier = reach & ~seen
+                seen |= frontier
+            reaches_all &= seen == everything
+        expected = (
+            f"degree sum {degree_sum} != twice edge count {edge_count}"
+            if reaches_all
+            else "divisor prime graph is disconnected"
+        )
+        g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=tuple(rows))
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            oracle_report(g)
+
 
 def assert_matches_networkx(nx, g, nx_graph):
     """Compare the oracle with networkx on the same graph; ``nx_graph`` has
@@ -289,6 +330,100 @@ class TestNetworkxReference:
             (a, b) for i, a in enumerate(divs) for b in divs[i + 1 :] if gcd(a, b) == 1
         )
         assert_matches_networkx(nx, graph_of(n), reference)
+
+
+def naive_indices(count, edge_list):
+    """Every compared index of a connected graph from its definition: a
+    dict-of-sets adjacency, one queue BFS per vertex, and sums over
+    unordered pairs.  Shares no code with the oracle."""
+    neighbours = {v: set() for v in range(count)}
+    for u, v in edge_list:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    dist = {}
+    for source in neighbours:
+        reached = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in neighbours[u]:
+                if w not in reached:
+                    reached[w] = reached[u] + 1
+                    queue.append(w)
+        assert len(reached) == count, "the reference takes connected graphs only"
+        dist[source] = reached
+    deg = {v: len(neighbours[v]) for v in neighbours}
+    pairs = [(u, v, dist[u][v]) for u in range(count) for v in range(u + 1, count)]
+    adjacent = [(u, v) for u, v, d in pairs if d == 1]
+    return {
+        "edge_count": len(adjacent),
+        "degree_sum": sum(deg.values()),
+        "wiener": sum(d for _, _, d in pairs),
+        "harary": sum((Fraction(1, d) for _, _, d in pairs), Fraction(0)),
+        "hyper_wiener": sum(d + d * d for _, _, d in pairs) / Fraction(2),
+        "zagreb1": sum(d * d for d in deg.values()),
+        "zagreb2": sum(deg[u] * deg[v] for u, v in adjacent),
+        "gutman": sum(deg[u] * deg[v] * d for u, v, d in pairs),
+        "schultz": sum((deg[u] + deg[v]) * d for u, v, d in pairs),
+        "eccentric_connectivity": sum(deg[v] * max(dist[v].values()) for v in neighbours),
+        "diameter": max((d for _, _, d in pairs), default=0),
+    }
+
+
+def assert_matches_naive(count, edge_list):
+    r = oracle_report(graph_from_edges(count, edge_list))
+    expected = naive_indices(count, edge_list)
+    assert {name: getattr(r, name) for name in expected} == expected
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=12):
+    """A connected graph on 0..count-1: a random spanning tree over a
+    shuffled vertex order, plus any set of further edges."""
+    count = draw(st.integers(min_value=1, max_value=max_vertices))
+    order = draw(st.permutations(range(count)))
+    edge_set = {
+        tuple(sorted((order[i], order[draw(st.integers(min_value=0, max_value=i - 1))])))
+        for i in range(1, count)
+    }
+    all_pairs = [(u, v) for u in range(count) for v in range(u + 1, count)]
+    if all_pairs:
+        edge_set |= draw(st.sets(st.sampled_from(all_pairs)))
+    return count, sorted(edge_set)
+
+
+def complete_graph(count):
+    return count, [(u, v) for u in range(count) for v in range(u + 1, count)]
+
+
+# The last vertex has no vertex above it, so its last BFS level adds no
+# pair; in the reversed path vertex 3 has such a level too, though 4 lies
+# above it.
+NAMED_GRAPHS = {
+    "spider": (7, SPIDER_EDGES),
+    **NO_UNIVERSAL_VERTEX,
+    "star": (6, [(0, v) for v in range(1, 6)]),
+    "path_reversed": (5, [(4, 3), (3, 2), (2, 1), (1, 0)]),
+}
+
+
+class TestNaiveReference:
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_named_graphs(self, name):
+        assert_matches_naive(*NAMED_GRAPHS[name])
+
+    @given(connected_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_connected_graphs(self, graph):
+        assert_matches_naive(*graph)
+
+    @pytest.mark.parametrize("count", range(1, 13))
+    def test_complete_graphs(self, count):
+        # Every source has eccentricity 1, so its only level is the last
+        # one, whose degree sum the oracle takes by subtraction.
+        s = distance_summary(graph_from_edges(*complete_graph(count)))
+        assert s.eccentricities == (min(count - 1, 1),) * count
+        assert_matches_naive(*complete_graph(count))
 
 
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -486,3 +621,19 @@ def test_harary_denominator_bound_follows_the_diameter():
     with pytest.raises(ValueError, match="must divide 2"):
         closed._replace(harary=Fraction(1, 3))
     assert closed._replace(harary=Fraction(1, 2)).harary == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    ("diameter", "denominator", "accepted"),
+    [(1, 2, False), (2, 3, False), (3, 3, True), (5, 7, False), (0, 1, True), (1, 1, True), (2, 2, True)],
+)
+def test_harary_denominator_edge_cases(diameter, denominator, accepted):
+    # The denominator must divide lcm(1..diameter), checked on every report.
+    good = oracle_report(graph_of(12))
+    harary = Fraction(1, denominator)
+    if accepted:
+        assert good._replace(diameter=diameter, harary=harary).harary == harary
+    else:
+        bound = lcm(*range(1, diameter + 1))
+        with pytest.raises(ValueError, match=f"harary denominator must divide {bound}: "):
+            good._replace(diameter=diameter, harary=harary)

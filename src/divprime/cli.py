@@ -5,7 +5,9 @@
     divprime export <n> [--style dot|adjacency-json] [--cap D]
 
 Exit codes: 0 success or verified, 1 mismatch or a cap hit by compute or
-export, 2 usage error.
+export, 2 usage error, 141 stdout closed by its reader before the output
+ended (what a shell reports for SIGPIPE, as in ``divprime verify 1 20000 |
+head``).
 
 Machine formats (json, csv) are byte-identical across runs: integers are
 serialized as decimal strings so arbitrary sizes survive any JSON parser,
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import suppress
@@ -285,15 +288,20 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute":
-        if args.cap is not None and not args.with_oracle:
-            commands["compute"].error("argument --cap: requires --with-oracle")
-        return _cmd_compute(args)
-    if args.command == "verify":
-        if args.lo > args.hi:
-            commands["verify"].error(f"invalid range: lo={args.lo} exceeds hi={args.hi}")
-        return _cmd_verify(args)
-    return _cmd_export(args)
+    if args.command == "compute" and args.cap is not None and not args.with_oracle:
+        commands["compute"].error("argument --cap: requires --with-oracle")
+    if args.command == "verify" and args.lo > args.hi:
+        commands["verify"].error(f"invalid range: lo={args.lo} exceeds hi={args.hi}")
+    run = {"compute": _cmd_compute, "verify": _cmd_verify, "export": _cmd_export}
+    try:
+        code = run[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Point stdout at devnull so the
+        # flush at exit cannot fail again, and exit as a shell does on SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

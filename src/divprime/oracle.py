@@ -14,13 +14,14 @@ what makes this module usable as an independent check.
 
 Adjacency rows are stored as int bitmasks, one bit per vertex.  One loop
 runs the BFS from every vertex for both ``oracle_report`` and
-``distance_summary``, walking whole frontier masks level by level and
-stopping once every vertex has been seen.  Each level's vertices above the
-source are counted by popcount, so each pair at each distance is counted
-once, and level 1 gives the edge count without walking the edge list
-(``edges`` is for export only).  The degree-weighted indices are sums over
-ordered pairs instead: expanding a level adds up its degrees, and the last
-level, never expanded, has the total degree less every earlier level.
+``distance_summary``: frontier masks, level by level from the source's own
+row until every vertex is seen, each level's rows ORed only until they
+reach every unseen vertex.  Each level's vertices above the source are
+counted by popcount, so each pair at each distance is counted once, and
+level 1 gives the edge count without walking the edge list (``edges`` is
+for export only).  The degree-weighted indices are sums over ordered pairs
+instead: expanding a level adds up all its degrees, and the last level,
+never expanded, has the total degree less every earlier level.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
-#: runs each: at D = 2304 build_graph takes 2-3 ms and oracle_report 35-59 ms;
-#: at D = 4608 they take 5-6 ms and 0.17-0.22 s.  The BFS from every vertex
-#: in oracle_report dominates.
+#: runs each: at D = 2304 build_graph takes 2.5-2.7 ms and oracle_report
+#: 40-44 ms; at D = 4608 they take 5.6-5.9 ms and 0.17-0.20 s.  The BFS from
+#: every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
 
 
@@ -118,7 +119,9 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     twice the first two indices and the Schultz index itself.  With D_l the
     degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
     W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
-    sum of deg(t) times the transmission of t, the Schultz index."""
+    sum of deg(t) times the transmission of t, the Schultz index.  Once a
+    level's ORed rows reach every unseen vertex, its other vertices add only
+    their degrees; on a divisor graph, divisor 1 saturates level 1 at once."""
     adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
@@ -128,10 +131,16 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     zagreb2 = gutman = schultz = 0
     for source, deg_s in enumerate(degrees):
         above = -1 << (source + 1)
-        seen = frontier = 1 << source
-        level = weighted = 0
-        rest = total  # degree sum of the vertices not yet expanded
+        frontier = adjacency[source] & ~(1 << source)
+        seen = frontier | 1 << source
+        level = 1 if frontier else 0  # 0 only on a one-vertex graph
+        weighted = 0
+        rest = total - deg_s  # degree sum of the vertices not yet expanded
+        if targets := frontier & above:
+            pairs[1] += targets.bit_count()
         while seen != everything:
+            if not frontier:
+                raise ValueError("divisor prime graph is disconnected")
             reach = dsum = 0
             while frontier:
                 low = frontier & -frontier
@@ -139,13 +148,17 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 reach |= adjacency[i]
                 dsum += degrees[i]
                 frontier ^= low
+                if reach | seen == everything:
+                    break  # saturated: the next level is every unseen vertex
+            while frontier:
+                low = frontier & -frontier
+                dsum += degrees[low.bit_length() - 1]
+                frontier ^= low
             weighted += level * dsum
             rest -= dsum
             if level == 1:
                 zagreb2 += deg_s * dsum
             frontier = reach & ~seen
-            if not frontier:
-                raise ValueError("divisor prime graph is disconnected")
             seen |= frontier
             level += 1
             if targets := frontier & above:

@@ -2,10 +2,14 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import divprime
 from divprime.cli import CSV_COLUMNS, main
 from divprime.oracle import build_graph, edges
 from divprime.arithmetic import factorize
@@ -303,6 +307,38 @@ def test_subcommand_usage_error_prints_its_usage(capsys, argv):
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: divprime {argv[0]} ")
+
+
+@pytest.mark.parametrize(
+    ("argv", "first_line"),
+    [
+        (["verify", "1", "20000", "--format", "csv"], ",".join(CSV_COLUMNS)),
+        (["export", "720720", "--style", "dot"], "graph divprime_720720 {"),
+    ],
+)
+def test_reader_closing_stdout_exits_141_without_a_traceback(argv, first_line):
+    # `divprime ... | head -1`: exit 1 would read as a mismatch, and a
+    # traceback as a crash.  A one-page pipe makes the child's later writes
+    # fail however fast it runs: the DOT export is 25 KB, less than a
+    # default pipe holds.
+    src = str(Path(divprime.__file__).resolve().parent.parent)
+    fcntl = pytest.importorskip("fcntl")
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen(
+        [sys.executable, "-m", "divprime.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+    ) as child:
+        os.close(write_end)
+        with open(read_end) as reader:
+            assert reader.readline() == first_line + "\n"
+        err = child.stderr.read()
+    assert child.returncode == 141
+    assert "Traceback" not in err
 
 
 class TestParserReuse:

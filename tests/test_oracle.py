@@ -426,6 +426,76 @@ class TestNaiveReference:
         assert_matches_naive(*complete_graph(count))
 
 
+# Vertex 0 is adjacent to every other vertex, and 1-2, 1-3, 3-4 are the
+# other edges.  From vertex 1 the first level is {0, 2, 3}: row 0 alone
+# reaches every vertex, so the BFS stops OR-ing there, while 2 and 3, of
+# degrees 2 and 3, still add to the level's degree sum.  The last level,
+# {4, 5}, holds vertices of degrees 2 and 1.
+FAN_EDGES = [*((0, v) for v in range(1, 6)), (1, 2), (1, 3), (3, 4)]
+
+
+class RecordedRows(tuple):
+    """Adjacency rows that log the index of every row read by subscript."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def rows_read(g):
+    rows = RecordedRows(g.adjacency)
+    rows.read = []
+    distance_summary(g._replace(adjacency=rows))
+    return rows.read
+
+
+class TestSaturationStop:
+    """The BFS ORs a level's rows only until they reach every unseen
+    vertex; the rest of the level then adds its degrees alone."""
+
+    @pytest.mark.parametrize(
+        ("count", "edge_list"),
+        [
+            # Each level is one vertex (two on C9) and the reach covers
+            # every vertex only on the last level expanded, if at all.
+            (8, [(i, i + 1) for i in range(7)]),
+            (9, [(i, (i + 1) % 9) for i in range(9)]),
+            (6, FAN_EDGES),
+        ],
+        ids=["P8", "C9", "fan"],
+    )
+    def test_matches_naive(self, count, edge_list):
+        assert_matches_naive(count, edge_list)
+
+    def test_a_saturated_level_reads_one_row(self):
+        # Each source reads its own row, then row 0, which saturates its
+        # first level; its last level is never expanded.
+        assert rows_read(graph_from_edges(6, FAN_EDGES)) == [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0]
+        # On a divisor graph divisor 1 is adjacent to every other divisor.
+        g = graph_of(720)
+        assert rows_read(g) == [0, *(i for s in range(1, len(g.vertices)) for i in (s, 0))]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (0b000, 0b100, 0b010),  # vertex 0 isolated
+            (0b010, 0b001, 0b000),  # vertex 2 isolated, found from vertex 0
+            (0b001, 0b100, 0b010),  # vertex 0 holds only its own loop
+            (0b010, 0b001, 0b100),  # vertex 2 likewise
+        ],
+    )
+    def test_unreachable_vertex_is_disconnected(self, rows):
+        g = DivisorGraph(n=0, vertices=(0, 1, 2), adjacency=rows)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            distance_summary(g)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            oracle_report(g)
+
+    def test_one_vertex_with_a_loop_is_connected(self):
+        g = DivisorGraph(n=0, vertices=(0,), adjacency=(0b1,))
+        assert distance_summary(g) == DistanceSummary({}, (0,), 0)
+
+
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 

@@ -26,6 +26,7 @@ from collections.abc import Sequence
 from contextlib import suppress
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from time import perf_counter
 
 from .arithmetic import Factorization, factorize
@@ -51,7 +52,8 @@ _RENAMED = {"divisor_count": "D", "edge_count": "edges"}
 #: Fixed column set for all CSV output.  In compute mode the status column
 #: carries the report's source tag; in verify mode the verification status.
 CSV_COLUMNS = (*(_RENAMED.get(field, field) for field in _REPORT_FIELDS), "status")
-_REPORT_FIELD_BY_COLUMN = dict(zip(CSV_COLUMNS, _REPORT_FIELDS))
+_column_values = attrgetter(*_REPORT_FIELDS)  # a report's values in column order
+_DIAMETER = CSV_COLUMNS.index("diameter")
 
 
 def _positive_int(text: str) -> int:
@@ -114,10 +116,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # report rendering
 
 
-def _cell(report: IndexReport, column: str, table: bool = False) -> str | None:
-    """One report column as a machine string, None where it is unknown; a
+def _cell(value: object, table: bool = False) -> str | None:
+    """One report value as a machine string, None where it is unknown; a
     rational reads "p/q" ("/1" included), plus its decimal value in a table."""
-    value = getattr(report, _REPORT_FIELD_BY_COLUMN[column])
     if type(value) is not Fraction:  # isinstance would go through ABCMeta per cell
         return None if value is None else str(value)
     text = f"{value.numerator}/{value.denominator}"
@@ -128,15 +129,15 @@ def _cell(report: IndexReport, column: str, table: bool = False) -> str | None:
 
 
 def _report_json_dict(report: IndexReport) -> dict:
-    # status is not a report field
-    data = {column: _cell(report, column) for column in CSV_COLUMNS[:-1]}
+    # status is not a report field; zip stops before it
+    data = {column: _cell(value) for column, value in zip(CSV_COLUMNS, _column_values(report))}
     data["source"] = report.source
     return data
 
 
 def _csv_row(report: IndexReport, status: str) -> list[str | None]:
     # csv.writer writes None as an empty field.
-    return [*(_cell(report, column) for column in CSV_COLUMNS[:-1]), status]
+    return [*map(_cell, _column_values(report)), status]
 
 
 def _render(
@@ -161,8 +162,8 @@ def _render(
         print()
         headers = [r.source.replace("_", " ") for r in reports]
         rows = [["", *headers]] if len(reports) > 1 else []
-        for column in CSV_COLUMNS[1:-1]:
-            rows.append([column, *(_cell(r, column, table=True) or "-" for r in reports)])
+        for column, *values in zip(CSV_COLUMNS[1:-1], *(_column_values(r)[1:] for r in reports)):
+            rows.append([column, *(_cell(v, table=True) or "-" for v in values)])
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -224,7 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for result in verify_results(args.lo, args.hi, cap=args.cap):
             row = _csv_row(result.closed_form, result.status)
             if result.oracle is not None:
-                row[CSV_COLUMNS.index("diameter")] = str(result.oracle.diameter)
+                row[_DIAMETER] = str(result.oracle.diameter)
             writer.writerow(row)
             mismatches += result.status == MISMATCH
         return 1 if mismatches else 0

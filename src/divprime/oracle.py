@@ -17,19 +17,21 @@ runs the BFS from every vertex for both ``oracle_report`` and
 ``distance_summary``: frontier masks, level by level from the source's own
 row until every vertex is seen, each level's rows ORed only until they
 reach every unseen vertex.  Each level's vertices above the source are
-counted by popcount, so each pair at each distance is counted once, and
-level 1 gives the edge count without walking the edge list (``edges`` is
-for export only).  The degree-weighted indices are sums over ordered pairs
-instead: expanding a level adds up all its degrees, and the last level,
-never expanded, has the total degree less every earlier level.
+counted by popcount into a list indexed by distance, so each pair is
+counted once, and level 1 gives the edge count without walking the edge
+list (``edges`` is for export only).  The degree-weighted indices are
+sums over ordered pairs instead: expanding a level adds up all its
+degrees, and the last level, never expanded, has the total degree less
+every earlier level.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
 from .report import ORACLE, IndexReport, _check_handshake
@@ -95,12 +97,12 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     # verts[i]; base 2 is exempt from the int/str digit limit.
     row_of = {1: (1 << len(verts)) - 1}
     for p, _ in f.factors:
-        free = int("".join("1" if v % p else "0" for v in reversed(verts)), 2)
+        free = int("".join(["1" if v % p else "0" for v in reversed(verts)]), 2)
         row_of |= {s * p: row & free for s, row in row_of.items()}
     radical = max(row_of)
     rows = [row_of[gcd(v, radical)] for v in verts]
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
-    return DivisorGraph(n=f.n, vertices=tuple(verts), adjacency=tuple(rows))
+    return DivisorGraph(f.n, tuple(verts), tuple(rows))
 
 
 def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
@@ -126,18 +128,17 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
     total = sum(degrees)
-    pairs: Counter[int] = Counter()
+    pairs = [0] * (len(adjacency) + 1)  # pair counts by distance; a level never passes D
     eccentricities = []
     zagreb2 = gutman = schultz = 0
     for source, deg_s in enumerate(degrees):
-        above = -1 << (source + 1)
+        above = source + 1  # shifting a level right by this keeps its later vertices
         frontier = adjacency[source] & ~(1 << source)
         seen = frontier | 1 << source
         level = 1 if frontier else 0  # 0 only on a one-vertex graph
         weighted = 0
         rest = total - deg_s  # degree sum of the vertices not yet expanded
-        if targets := frontier & above:
-            pairs[1] += targets.bit_count()
+        pairs[1] += (frontier >> above).bit_count()
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
@@ -161,15 +162,15 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
             frontier = reach & ~seen
             seen |= frontier
             level += 1
-            if targets := frontier & above:
-                pairs[level] += targets.bit_count()
+            pairs[level] += (frontier >> above).bit_count()
         weighted += level * rest  # the last level
         if level == 1:
             zagreb2 += deg_s * rest
         gutman += deg_s * weighted
         schultz += weighted
         eccentricities.append(level)
-    summary = DistanceSummary(dict(pairs), tuple(eccentricities), max(eccentricities, default=0))
+    histogram = {d: count for d, count in enumerate(pairs) if count}
+    summary = DistanceSummary(histogram, tuple(eccentricities), max(eccentricities, default=0))
     return summary, degrees, zagreb2, gutman, schultz
 
 
@@ -203,11 +204,11 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
         wiener=sum(d * c for d, c in pairs.items()),
         harary=Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
         hyper_wiener=exact_half(sum((d + d * d) * c for d, c in pairs.items())),
-        zagreb1=sum(d * d for d in degrees),
+        zagreb1=sum(map(mul, degrees, degrees)),
         zagreb2=exact_half(zagreb2),
         gutman=exact_half(gutman),
         schultz=schultz,
-        eccentric_connectivity=sum(d * e for d, e in zip(degrees, summary.eccentricities)),
+        eccentric_connectivity=sum(map(mul, degrees, summary.eccentricities)),
         source=ORACLE,
         diameter=summary.diameter,
     )

@@ -2,6 +2,7 @@
 
 from collections import namedtuple
 from math import lcm
+from operator import attrgetter
 
 __all__ = ["CLOSED_FORM", "COMPARED_FIELDS", "ORACLE", "IndexReport"]
 
@@ -22,6 +23,7 @@ COMPARED_FIELDS = (
     "schultz",
     "eccentric_connectivity",
 )
+_compared = attrgetter(*COMPARED_FIELDS)  # a report's ten compared values, as one tuple
 
 
 class IndexReport(
@@ -52,9 +54,9 @@ class IndexReport(
         if bound % self.harary.denominator:
             raise ValueError(f"harary denominator must divide {bound}: {self.harary}")
         _check_handshake(self.degree_sum, self.edge_count)
-        for name in COMPARED_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if min(compared := _compared(self)) < 0:
+            name = next(name for name, value in zip(COMPARED_FIELDS, compared) if value < 0)
+            raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):
             raise ValueError(f"unknown source tag {self.source!r}")
         return self

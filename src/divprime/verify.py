@@ -21,7 +21,7 @@ from time import perf_counter
 from .arithmetic import Factorization, factorize
 from .formulas import cf_report
 from .oracle import DEFAULT_CAP, CapExceededError, build_graph, oracle_report
-from .report import COMPARED_FIELDS
+from .report import COMPARED_FIELDS, _compared
 
 __all__ = [
     "MISMATCH",
@@ -103,17 +103,12 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
     else:
         oracle = oracle_report(graph)
         elapsed_oracle = perf_counter() - start
-        mismatches = tuple(k for k in COMPARED_FIELDS if getattr(closed, k) != getattr(oracle, k))
+        expected, found = _compared(closed), _compared(oracle)
+        if expected != found:  # one tuple compare; the names only on a mismatch
+            mismatches = tuple(k for k, a, b in zip(COMPARED_FIELDS, expected, found) if a != b)
         status = MISMATCH if mismatches else VERIFIED
     return VerificationResult(
-        n=f.n,
-        status=status,
-        closed_form=closed,
-        oracle=oracle,
-        oracle_skipped_reason=reason,
-        elapsed_closed_form=elapsed_closed,
-        elapsed_oracle=elapsed_oracle,
-        mismatches=mismatches,
+        f.n, status, closed, oracle, reason, elapsed_closed, elapsed_oracle, mismatches
     )
 
 

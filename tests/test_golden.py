@@ -25,6 +25,12 @@ GOLDEN = [
         "4dff4367a586b6c79c87c540bd7d01839531aa5621fd81f63b3c30c15131e895",
     ),
     (
+        # A block of the benchmark's sweep range that reaches D = 256.
+        ("verify", "1081000", "1081199", "--format", "csv"),
+        0,
+        "982daf34354e7ff82789a3487a0e54fb14d8580560d29a802452df7586778d39",
+    ),
+    (
         ("verify", "1", "300", "--format", "json"),
         0,
         "15a97a16024eac2da74959d46875649085c48ba37f8f0346f8ef8364f5e09bf0",

@@ -707,3 +707,44 @@ def test_harary_denominator_edge_cases(diameter, denominator, accepted):
         bound = lcm(*range(1, diameter + 1))
         with pytest.raises(ValueError, match=f"harary denominator must divide {bound}: "):
             good._replace(diameter=diameter, harary=harary)
+
+
+def _negative(field):
+    return Fraction(-1, 2) if field == "harary" else -1
+
+
+@pytest.mark.parametrize("field", COMPARED_FIELDS)
+def test_report_names_the_first_negative_field(field):
+    good = oracle_report(graph_of(12))
+    if field == "degree_sum":
+        # With the handshake intact a negative degree sum means a negative
+        # edge count, which comes first in COMPARED_FIELDS.
+        bad = {"degree_sum": -2, "edge_count": -1}
+        expected = "edge_count must be nonnegative"
+    else:
+        bad = {field: _negative(field)}
+        if field == "edge_count":
+            bad["degree_sum"] = -2
+        expected = f"{field} must be nonnegative"
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        good._replace(**bad)
+    # Every later field negative too: the first in COMPARED_FIELDS is named.
+    later = COMPARED_FIELDS[COMPARED_FIELDS.index(field) + 1 :]
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        good._replace(**bad, **{name: _negative(name) for name in later if name != "degree_sum"})
+
+
+def test_report_validation_messages():
+    good = oracle_report(graph_of(12))
+    handshake = f"degree sum {good.degree_sum + 1} != twice edge count {good.edge_count}"
+    with pytest.raises(ValueError, match=f"^{re.escape(handshake)}$"):
+        good._replace(degree_sum=good.degree_sum + 1)
+    # The handshake is checked before the signs.
+    with pytest.raises(ValueError, match="^degree sum -1 != twice edge count 3$"):
+        good._replace(degree_sum=-1, edge_count=3, wiener=-1)
+    with pytest.raises(ValueError, match="^unknown source tag 'brute'$"):
+        good._replace(source="brute")
+    # The signs are checked before the source tag.
+    with pytest.raises(ValueError, match="^wiener must be nonnegative$"):
+        good._replace(source="brute", wiener=-1)
+    assert good._replace(wiener=0).wiener == 0  # zero is allowed

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import divprime.verify
-from divprime.report import COMPARED_FIELDS
+from divprime.report import COMPARED_FIELDS, IndexReport
 from divprime.verify import (
     MISMATCH,
     ORACLE_SKIPPED,
@@ -80,6 +80,24 @@ class TestVerifyN:
         assert result.status == MISMATCH
         assert result.mismatches == ("wiener", "gutman")
         assert result.mismatches == tuple(f for f in COMPARED_FIELDS if f in {"gutman", "wiener"})
+
+    @pytest.mark.parametrize("field", IndexReport._fields)
+    def test_exactly_the_compared_fields_are_compared(self, monkeypatch, field):
+        real = divprime.verify.cf_report
+
+        def changed(f):
+            # tuple.__new__ skips the report's checks, so edge_count or
+            # degree_sum can differ alone despite the handshake.
+            values = real(f)._asdict()
+            values[field] = values[field] + 1 if field in COMPARED_FIELDS else 10**6
+            return tuple.__new__(IndexReport, values.values())
+
+        monkeypatch.setattr(divprime.verify, "cf_report", changed)
+        result = verify_n(30)
+        if field in COMPARED_FIELDS:
+            assert (result.status, result.mismatches) == (MISMATCH, (field,))
+        else:  # n, divisor_count, source and diameter are not compared
+            assert (result.status, result.mismatches) == (VERIFIED, ())
 
 
 class TestVerifyRange:

@@ -22,7 +22,10 @@ counted once, and level 1 gives the edge count without walking the edge
 list (``edges`` is for export only).  The degree-weighted indices are
 sums over ordered pairs instead: expanding a level adds up all its
 degrees, and the last level, never expanded, has the total degree less
-every earlier level.
+every earlier level.  Each level mask's degree sum is walked once and then
+looked up, so false twins (one row, as for divisors with one prime support)
+read their first level's sum once; squarefree n, without twins, pays one
+dict probe per source.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ __all__ = [
 
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
-#: a 2-core Xeon with Python 3.11, exponents (5,3,2,1^5) and (5,3,2,1^6), six
-#: runs each: at D = 2304 build_graph takes 2.5-2.7 ms and oracle_report
-#: 40-44 ms; at D = 4608 they take 5.6-5.9 ms and 0.17-0.20 s.  The BFS from
-#: every vertex in oracle_report dominates.
+#: a 2-core Xeon with Python 3.11, six runs each, build_graph and then
+#: oracle_report: exponents (5,3,2,1^5), D = 2304, 2.5-3.2 ms and 19-25 ms;
+#: (5,3,2,1^6), D = 4608, 5.5-6.7 ms and 77-101 ms; the squarefree
+#: 2*3*...*37, D = 4096, 8.1-9.4 ms and 0.30-0.35 s.  With no twins to share
+#: a first BFS level, the squarefree graph is the slowest near the cap.  The
+#: BFS from every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
 
 
@@ -123,7 +128,12 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
     sum of deg(t) times the transmission of t, the Schultz index.  Once a
     level's ORed rows reach every unseen vertex, its other vertices add only
-    their degrees; on a divisor graph, divisor 1 saturates level 1 at once."""
+    their degrees; on a divisor graph, divisor 1 saturates level 1 at once.
+    A level seen before in the call ORs its rows up to saturation but takes
+    its degree sum from a dict keyed by its mask, at level 1 the source's
+    own row object if it has no loop: false twins, which share a row, walk
+    their first level once, and a graph without twins pays one probe per
+    source."""
     adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
@@ -131,10 +141,14 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     pairs = [0] * (len(adjacency) + 1)  # pair counts by distance; a level never passes D
     eccentricities = []
     zagreb2 = gutman = schultz = 0
+    dsum_of = {}  # degree sum of every level expanded, keyed by its mask
     for source, deg_s in enumerate(degrees):
         above = source + 1  # shifting a level right by this keeps its later vertices
-        frontier = adjacency[source] & ~(1 << source)
-        seen = frontier | 1 << source
+        bit = 1 << source
+        frontier = adjacency[source]
+        if frontier & bit:
+            frontier ^= bit  # drop a loop; without one the row itself is the key
+        seen = frontier | bit
         level = 1 if frontier else 0  # 0 only on a one-vertex graph
         weighted = 0
         rest = total - deg_s  # degree sum of the vertices not yet expanded
@@ -142,6 +156,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
+            key = frontier
             reach = dsum = 0
             while frontier:
                 low = frontier & -frontier
@@ -151,10 +166,14 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 frontier ^= low
                 if reach | seen == everything:
                     break  # saturated: the next level is every unseen vertex
-            while frontier:
-                low = frontier & -frontier
-                dsum += degrees[low.bit_length() - 1]
-                frontier ^= low
+            if (known := dsum_of.get(key)) is not None:
+                dsum = known
+            else:
+                while frontier:
+                    low = frontier & -frontier
+                    dsum += degrees[low.bit_length() - 1]
+                    frontier ^= low
+                dsum_of[key] = dsum
             weighted += level * dsum
             rest -= dsum
             if level == 1:

@@ -24,6 +24,9 @@ COMPARED_FIELDS = (
     "eccentric_connectivity",
 )
 _compared = attrgetter(*COMPARED_FIELDS)  # a report's ten compared values, as one tuple
+# The same with the Harary index as its numerator: a Fraction's denominator is
+# positive, so the numerator has its sign and orders as an int, not in Python.
+_signs = attrgetter(*(f"{name}.numerator" if name == "harary" else name for name in COMPARED_FIELDS))
 
 
 class IndexReport(
@@ -54,8 +57,8 @@ class IndexReport(
         if bound % self.harary.denominator:
             raise ValueError(f"harary denominator must divide {bound}: {self.harary}")
         _check_handshake(self.degree_sum, self.edge_count)
-        if min(compared := _compared(self)) < 0:
-            name = next(name for name, value in zip(COMPARED_FIELDS, compared) if value < 0)
+        if min(signs := _signs(self)) < 0:
+            name = next(name for name, value in zip(COMPARED_FIELDS, signs) if value < 0)
             raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):
             raise ValueError(f"unknown source tag {self.source!r}")

@@ -396,15 +396,48 @@ def complete_graph(count):
     return count, [(u, v) for u in range(count) for v in range(u + 1, count)]
 
 
+# False twins: vertices with one neighbourhood, hence equal rows, and so one
+# first BFS level whose degree sum the oracle walks once.  In the spider
+# with duplicated leaves, leaf 7 is a twin of leaf 2, 8 of 4 and 9 of 6.  In
+# the twin ladder, 2 and 3 are twins, and sources 0 and 5 differ at level 1
+# but share level 2, {2, 3}; in C6 a source's level 2 is its antipode's
+# level 1.  So there the repeated frontiers lie past level 1.
+TWIN_GRAPHS = {
+    "spider_twin_leaves": (10, [*SPIDER_EDGES, (1, 7), (3, 8), (5, 9)]),
+    "twin_ladder": (6, [(0, 1), (1, 2), (1, 3), (4, 2), (4, 3), (4, 5)]),
+    "C6": (6, [(i, (i + 1) % 6) for i in range(6)]),
+}
+
 # The last vertex has no vertex above it, so its last BFS level adds no
 # pair; in the reversed path vertex 3 has such a level too, though 4 lies
 # above it.
 NAMED_GRAPHS = {
     "spider": (7, SPIDER_EDGES),
     **NO_UNIVERSAL_VERTEX,
+    **TWIN_GRAPHS,
     "star": (6, [(0, v) for v in range(1, 6)]),
     "path_reversed": (5, [(4, 3), (3, 2), (2, 1), (1, 0)]),
 }
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """A graph from ``connected_graphs`` with some vertices copied, so that
+    it holds twins.  Each copy gets its original's neighbours, and an edge
+    to the original only when drawn so, or when the original has no
+    neighbour; without that edge the two are false twins, with equal rows.
+    Vertices are then relabelled at random."""
+    count, edge_list = draw(connected_graphs(max_vertices=8))
+    edge_set = set(edge_list)
+    originals = draw(st.lists(st.integers(min_value=0, max_value=count - 1), min_size=1, max_size=6))
+    for copy, original in enumerate(originals, start=count):
+        neighbours = {u for edge in edge_set if original in edge for u in edge} - {original}
+        edge_set |= {(u, copy) for u in neighbours}
+        if not neighbours or draw(st.booleans()):
+            edge_set.add((original, copy))
+    total = count + len(originals)
+    label = draw(st.permutations(range(total)))
+    return total, sorted(tuple(sorted((label[u], label[v]))) for u, v in edge_set)
 
 
 class TestNaiveReference:
@@ -415,6 +448,11 @@ class TestNaiveReference:
     @given(connected_graphs())
     @settings(max_examples=200, deadline=None)
     def test_connected_graphs(self, graph):
+        assert_matches_naive(*graph)
+
+    @given(graphs_with_twins())
+    @settings(max_examples=200, deadline=None)
+    def test_graphs_with_twins(self, graph):
         assert_matches_naive(*graph)
 
     @pytest.mark.parametrize("count", range(1, 13))
@@ -486,6 +524,23 @@ class TestSaturationStop:
     )
     def test_unreachable_vertex_is_disconnected(self, rows):
         g = DivisorGraph(n=0, vertices=(0, 1, 2), adjacency=rows)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            distance_summary(g)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            oracle_report(g)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (0b10, 0b01, 0, 0),  # the edge 0-1, then the isolated twins 2 and 3
+            (0, 0, 0b1000, 0b0100),  # the isolated twins 0 and 1, then the edge 2-3
+            (0, 0),
+        ],
+    )
+    def test_isolated_twins_are_disconnected(self, rows):
+        # Empty rows are equal, so the twins share a first level, the empty
+        # mask; the second of them must still be found unreachable.
+        g = DivisorGraph(n=0, vertices=tuple(range(len(rows))), adjacency=rows)
         with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
             distance_summary(g)
         with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
@@ -600,6 +655,20 @@ class TestSharedRows:
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * 2**20
+
+    def test_bfs_memory_stays_near_the_shared_rows(self):
+        # Squarefree with D = 4096, so no two divisors are twins and each
+        # source adds its own entry to the BFS's degree sums by level.  Keyed
+        # by the shared row objects they peak near 0.4 MiB; a fresh D-bit
+        # int per source as the key would peak near 1.6 MiB.
+        g = graph_of(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37)
+        tracemalloc.start()
+        try:
+            oracle_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
 
 
 class TestStructuralInvariants:

@@ -20,12 +20,15 @@ reach every unseen vertex.  Each level's vertices above the source are
 counted by popcount into a list indexed by distance, so each pair is
 counted once, and level 1 gives the edge count without walking the edge
 list (``edges`` is for export only).  The degree-weighted indices are
-sums over ordered pairs instead: expanding a level adds up all its
-degrees, and the last level, never expanded, has the total degree less
-every earlier level.  Each level mask's degree sum is walked once and then
-looked up, so false twins (one row, as for divisors with one prime support)
-read their first level's sum once; squarefree n, without twins, pays one
-dict probe per source.
+sums over ordered pairs instead, from each level's degree sum; the last
+level, never expanded, has the total degree less every earlier level.  A
+level's degree sum is looked up by its mask before the level is expanded,
+so false twins (one row, as for divisors with one prime support) share
+their first level's sum; squarefree n, without twins, pays one dict probe
+per source.  On a miss a level of fewer than ``_PLANE_MIN`` vertices walks
+its bits; a larger one is summed bit-sliced (Biham 1997), from one mask
+per bit b of the degrees marking the vertices whose degree has bit b set:
+the sum is that of popcount(level & mask_b) << b over b.
 """
 
 from __future__ import annotations
@@ -53,12 +56,21 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, six runs each, build_graph and then
-#: oracle_report: exponents (5,3,2,1^5), D = 2304, 2.5-3.2 ms and 19-25 ms;
-#: (5,3,2,1^6), D = 4608, 5.5-6.7 ms and 77-101 ms; the squarefree
-#: 2*3*...*37, D = 4096, 8.1-9.4 ms and 0.30-0.35 s.  With no twins to share
-#: a first BFS level, the squarefree graph is the slowest near the cap.  The
-#: BFS from every vertex in oracle_report dominates.
+#: oracle_report: exponents (5,3,2,1^5), D = 2304, 1.9-3.2 ms and 6.2-10 ms;
+#: (5,3,2,1^6), D = 4608, 4.1-6.3 ms and 21-29 ms; the squarefree
+#: 2*3*...*37, D = 4096, 5.7-14 ms and 27-50 ms.  Squarefree graphs, with no
+#: twins to share a first BFS level, are the slowest near the cap.  The BFS
+#: from every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
+
+#: Fewest vertices a level needs for its degree sum to be taken from the
+#: degree planes rather than by walking its bits.  Measured on the same
+#: machine: one plane sum costs about as much as walking 8-16 vertices for D
+#: from 64 to 4096, and building the planes 0.1 ms at D = 240 and 0.9 ms at
+#: D = 4096.  At 32, 41 of 1500 graphs from [10^6, 2*10^6) build planes, and
+#: the BFS over all 1500 takes as long as with no planes at all; building
+#: them on every graph cost about 50%.
+_PLANE_MIN = 32
 
 
 class CapExceededError(ValueError):
@@ -120,6 +132,17 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
             upper ^= low
 
 
+def _degree_planes(degrees: list[int]) -> list[int]:
+    """Bit-sliced degrees: mask b marks the vertices whose degree has bit b set."""
+    by_degree = {}
+    for i, d in enumerate(degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    return [
+        sum(mask for d, mask in by_degree.items() if d >> b & 1)
+        for b in range(max(degrees).bit_length())
+    ]
+
+
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
     """One BFS from every vertex: the distance summary, the degrees, and the
     second Zagreb, Gutman and Schultz sums over ordered pairs, which are
@@ -127,13 +150,15 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
     W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
     sum of deg(t) times the transmission of t, the Schultz index.  Once a
-    level's ORed rows reach every unseen vertex, its other vertices add only
-    their degrees; on a divisor graph, divisor 1 saturates level 1 at once.
-    A level seen before in the call ORs its rows up to saturation but takes
-    its degree sum from a dict keyed by its mask, at level 1 the source's
-    own row object if it has no loop: false twins, which share a row, walk
-    their first level once, and a graph without twins pays one probe per
-    source."""
+    level's ORed rows reach every unseen vertex, its other rows are not
+    read; on a divisor graph, divisor 1 saturates level 1 at once.  A
+    level's degree sum comes from a dict keyed by its mask, probed before
+    the level is expanded, at level 1 the source's own row object if it
+    has no loop: false twins, which share a row, sum their first level
+    once, and a graph without twins pays one probe per source.  A miss on a
+    level of fewer than ``_PLANE_MIN`` vertices walks its bits; a larger
+    one ANDs and popcounts the degree planes, built on the first such miss
+    in the call."""
     adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
@@ -141,7 +166,8 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     pairs = [0] * (len(adjacency) + 1)  # pair counts by distance; a level never passes D
     eccentricities = []
     zagreb2 = gutman = schultz = 0
-    dsum_of = {}  # degree sum of every level expanded, keyed by its mask
+    dsum_of = {}  # degree sum of every level met, keyed by its mask
+    planes = None  # plane b marks the vertices whose degree has bit b set
     for source, deg_s in enumerate(degrees):
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
@@ -156,24 +182,24 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
-            key = frontier
-            reach = dsum = 0
-            while frontier:
-                low = frontier & -frontier
-                i = low.bit_length() - 1
-                reach |= adjacency[i]
-                dsum += degrees[i]
-                frontier ^= low
+            if (dsum := dsum_of.get(frontier)) is None:
+                if frontier.bit_count() < _PLANE_MIN:
+                    dsum, bits = 0, frontier
+                    while bits:
+                        low = bits & -bits
+                        dsum += degrees[low.bit_length() - 1]
+                        bits ^= low
+                else:
+                    planes = planes or _degree_planes(degrees)
+                    dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
+                dsum_of[frontier] = dsum
+            reach, bits = 0, frontier
+            while bits:
+                low = bits & -bits
+                reach |= adjacency[low.bit_length() - 1]
+                bits ^= low
                 if reach | seen == everything:
                     break  # saturated: the next level is every unseen vertex
-            if (known := dsum_of.get(key)) is not None:
-                dsum = known
-            else:
-                while frontier:
-                    low = frontier & -frontier
-                    dsum += degrees[low.bit_length() - 1]
-                    frontier ^= low
-                dsum_of[key] = dsum
             weighted += level * dsum
             rest -= dsum
             if level == 1:
@@ -215,19 +241,23 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     # Before halving: an adjacency the handshake rejects gets its ValueError.
     _check_handshake(degree_sum, edge_count)
     common = lcm(*pairs)
+    # Positional, in field order, as keywords cost about 2 us per report: n,
+    # divisor_count, edge_count, degree_sum, wiener, harary, hyper_wiener,
+    # zagreb1, zagreb2, gutman, schultz, eccentric_connectivity, source,
+    # diameter.
     return IndexReport(
-        n=g.n,
-        divisor_count=len(g.vertices),
-        edge_count=edge_count,
-        degree_sum=degree_sum,
-        wiener=sum(d * c for d, c in pairs.items()),
-        harary=Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
-        hyper_wiener=exact_half(sum((d + d * d) * c for d, c in pairs.items())),
-        zagreb1=sum(map(mul, degrees, degrees)),
-        zagreb2=exact_half(zagreb2),
-        gutman=exact_half(gutman),
-        schultz=schultz,
-        eccentric_connectivity=sum(map(mul, degrees, summary.eccentricities)),
-        source=ORACLE,
-        diameter=summary.diameter,
+        g.n,
+        len(g.vertices),
+        edge_count,
+        degree_sum,
+        sum(d * c for d, c in pairs.items()),
+        Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
+        exact_half(sum((d + d * d) * c for d, c in pairs.items())),
+        sum(map(mul, degrees, degrees)),
+        exact_half(zagreb2),
+        exact_half(gutman),
+        schultz,
+        sum(map(mul, degrees, summary.eccentricities)),
+        ORACLE,
+        summary.diameter,
     )

@@ -1,8 +1,10 @@
+import random
 import re
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
 from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -551,6 +553,85 @@ class TestSaturationStop:
         assert distance_summary(g) == DistanceSummary({}, (0,), 0)
 
 
+def plane_builds(count, edge_list):
+    """Check the oracle against the naive reference, and return how often it
+    built the degree planes that sum its larger BFS levels."""
+    real = divprime.oracle._degree_planes
+    with mock.patch.object(divprime.oracle, "_degree_planes", wraps=real) as built:
+        assert_matches_naive(count, edge_list)
+    return built.call_count
+
+
+@st.composite
+def graphs_with_a_large_level(draw):
+    """A connected graph on 34 to 100 vertices with a hub of degree 32 or
+    more that is not adjacent to every vertex, so the hub's first level holds
+    at least 32 vertices and is expanded, and some degree reaches bit 5.
+    Vertices past the hub's neighbours join at a random earlier one, further
+    edges avoid the hub, and vertices are then relabelled at random.  The
+    edges come from a drawn seed: drawing each of up to 4950 pairs would make
+    the smallest example too large for hypothesis."""
+    count = draw(st.integers(min_value=34, max_value=100))
+    hub_degree = draw(st.integers(min_value=32, max_value=count - 2))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.03, 0.2, 0.6]))
+    edge_set = {(0, v) for v in range(1, hub_degree + 1)}
+    edge_set |= {(rng.randrange(1, v), v) for v in range(hub_degree + 1, count)}
+    edge_set |= {
+        (u, v) for u in range(1, count) for v in range(u + 1, count) if rng.random() < density
+    }
+    label = rng.sample(range(count), count)
+    return count, sorted(tuple(sorted((label[u], label[v]))) for u, v in edge_set)
+
+
+def two_hubs_over_a_path(k):
+    """K(2,k) with a path through its k-side: from either hub the first level
+    is the k path vertices, of degrees 3 and 4, and the next the other hub.
+    No other level is expanded with more vertices."""
+    path = range(2, k + 2)
+    return k + 2, [*((h, v) for h in (0, 1) for v in path), *zip(path, path[1:])]
+
+
+def powers_of_two_graph():
+    """A hub joined to 32 vertices; the j-th of them also holds 2^(j mod 5) - 1
+    pendant leaves, so every degree is a power of two, 1 to 32, and the hub's
+    first level, summed from the planes, holds degrees 1, 2, 4, 8 and 16."""
+    edge_list, count = [], 33
+    for j in range(1, 33):
+        edge_list.append((0, j))
+        for _ in range(2 ** (j % 5) - 1):
+            edge_list.append((j, count))
+            count += 1
+    return count, edge_list
+
+
+class TestDegreePlanes:
+    """A level of 32 or more vertices, missing from the level-sum dict, takes
+    its degree sum from bit-sliced degree planes built once per call."""
+
+    @given(graphs_with_a_large_level())
+    @settings(max_examples=60, deadline=None)
+    def test_graphs_with_a_large_level(self, graph):
+        assert plane_builds(*graph) == 1
+
+    @pytest.mark.parametrize(("k", "builds"), [(31, 0), (32, 1)])
+    def test_levels_either_side_of_the_threshold(self, k, builds):
+        assert plane_builds(*two_hubs_over_a_path(k)) == builds
+
+    def test_every_degree_a_power_of_two(self):
+        count, edge_list = powers_of_two_graph()
+        degrees = [row.bit_count() for row in graph_from_edges(count, edge_list).adjacency]
+        assert {d & (d - 1) for d in degrees} == {0}
+        assert set(degrees) == {1, 2, 4, 8, 16, 32}
+        assert plane_builds(count, edge_list) == 1
+
+    def test_each_plane_marks_one_bit_of_the_degrees(self):
+        # Vertices of degree 0 lie in no plane, and a power of two in one.
+        assert divprime.oracle._degree_planes([0, 1, 0, 2, 4, 1]) == [0b100010, 0b1000, 0b10000]
+        assert divprime.oracle._degree_planes([5, 0, 3, 6]) == [0b0101, 0b1100, 0b1001]
+        assert divprime.oracle._degree_planes([0, 0]) == []
+
+
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -659,8 +740,9 @@ class TestSharedRows:
     def test_bfs_memory_stays_near_the_shared_rows(self):
         # Squarefree with D = 4096, so no two divisors are twins and each
         # source adds its own entry to the BFS's degree sums by level.  Keyed
-        # by the shared row objects they peak near 0.4 MiB; a fresh D-bit
-        # int per source as the key would peak near 1.6 MiB.
+        # by the shared row objects they peak near 0.41 MiB with the twelve
+        # 4096-bit degree planes (6 KiB); a fresh D-bit int per source as
+        # the key would peak near 1.6 MiB.
         g = graph_of(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37)
         tracemalloc.start()
         try:

@@ -300,7 +300,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader left early (`| head`).  Point stdout at devnull so the
         # flush at exit cannot fail again, and exit as a shell does on SIGPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 141
     return code
 

@@ -2,33 +2,15 @@
 
 Vertices are the divisors of n in ascending order; two distinct divisors
 are adjacent exactly when their gcd is 1 (the loop at divisor 1 is
-dropped).  Two divisors of n are coprime exactly when no prime of n
-divides both, so the adjacency row of a divisor is the AND, over the primes
-dividing it, of one mask per prime marking the divisors that prime does not
-divide.  That row depends only on the divisor's prime support, so it is
-built once per support and shared by every divisor with that support.
-Every index is computed from its defining sum over the graph, with
-distances found by breadth-first search from every vertex.  Nothing here
-assumes the diameter bound or any other closed-form shortcut, which is
-what makes this module usable as an independent check.
-
-Adjacency rows are stored as int bitmasks, one bit per vertex.  One loop
-runs the BFS from every vertex for both ``oracle_report`` and
-``distance_summary``: frontier masks, level by level from the source's own
-row until every vertex is seen, each level's rows ORed only until they
-reach every unseen vertex.  Each level's vertices above the source are
-counted by popcount into a list indexed by distance, so each pair is
-counted once, and level 1 gives the edge count without walking the edge
-list (``edges`` is for export only).  The degree-weighted indices are
-sums over ordered pairs instead, from each level's degree sum; the last
-level, never expanded, has the total degree less every earlier level.  A
-level's degree sum is looked up by its mask before the level is expanded,
-so false twins (one row, as for divisors with one prime support) share
-their first level's sum; squarefree n, without twins, pays one dict probe
-per source.  On a miss a level of fewer than ``_PLANE_MIN`` vertices walks
-its bits; a larger one is summed bit-sliced (Biham 1997), from one mask
-per bit b of the degrees marking the vertices whose degree has bit b set:
-the sum is that of popcount(level & mask_b) << b over b.
+dropped).  The graph is built explicitly, with one adjacency row (an int
+bitmask over the vertices) per prime support, shared by every divisor with
+that support: the AND, over the support's primes, of one mask per prime
+marking the divisors that prime does not divide.  Every index is computed
+from its defining sum, with distances found by breadth-first search from
+every vertex (``_bfs_sums`` states how).  Nothing here reads
+``formulas.py`` or assumes a diameter bound or any other closed-form
+shortcut, which is what makes this module usable as an independent check,
+and ``build_graph`` refuses graphs above the cap.
 """
 
 from __future__ import annotations
@@ -63,14 +45,14 @@ __all__ = [
 #: from every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
 
-#: Fewest vertices a level needs for its degree sum to be taken from the
-#: degree planes rather than by walking its bits.  Measured on the same
-#: machine: one plane sum costs about as much as walking 8-16 vertices for D
-#: from 64 to 4096, and building the planes 0.1 ms at D = 240 and 0.9 ms at
-#: D = 4096.  At 32, 41 of 1500 graphs from [10^6, 2*10^6) build planes, and
-#: the BFS over all 1500 takes as long as with no planes at all; building
-#: them on every graph cost about 50%.
-_PLANE_MIN = 32
+#: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
+#: sums from degree planes rather than by walking their bits.  Measured on the
+#: same machine, per-graph minimum BFS time against a per-level rule (planes
+#: for a missed level of 32 or more vertices): at 64, as at 96 or 128, 1500
+#: graphs from [10^6, 2*10^6) take 0.95-0.97x, two rounds of D 384..1152
+#: 0.94-0.96x and D 48..256 0.92-0.95x; at 48 the 1500 take 0.98-1.00x, and
+#: at 256 D 48..256 takes 1.05x.
+_PLANE_MIN = 64
 
 
 class CapExceededError(ValueError):
@@ -146,19 +128,28 @@ def _degree_planes(degrees: list[int]) -> list[int]:
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
     """One BFS from every vertex: the distance summary, the degrees, and the
     second Zagreb, Gutman and Schultz sums over ordered pairs, which are
-    twice the first two indices and the Schultz index itself.  With D_l the
-    degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
-    W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
-    sum of deg(t) times the transmission of t, the Schultz index.  Once a
-    level's ORed rows reach every unseen vertex, its other rows are not
-    read; on a divisor graph, divisor 1 saturates level 1 at once.  A
-    level's degree sum comes from a dict keyed by its mask, probed before
-    the level is expanded, at level 1 the source's own row object if it
-    has no loop: false twins, which share a row, sum their first level
-    once, and a graph without twins pays one probe per source.  A miss on a
-    level of fewer than ``_PLANE_MIN`` vertices walks its bits; a larger
-    one ANDs and popcounts the degree planes, built on the first such miss
-    in the call."""
+    twice the first two indices and the Schultz index itself.
+
+    Each source starts at its own row, less any loop, as level 1, and the
+    levels are frontier masks, expanded until every vertex is seen; an
+    empty level before then means the graph is disconnected.  A level's
+    rows are ORed only until they reach every unseen vertex, since the next
+    level is then all of them; on a divisor graph, divisor 1 saturates
+    level 1 at once.  Each level's vertices above the source are counted by
+    popcount, so each unordered pair is counted once, and level 1 gives the
+    edge count.  With D_l the degree sum of level l, source s adds
+    deg(s)*D_1, deg(s)*W and W, where W = sum(l*D_l) sums deg(t)*d(s, t)
+    over every t; over all s it is the sum of deg(t) times the transmission
+    of t, the Schultz index.  The last level, never expanded, has the total
+    degree less every earlier level.  Every other D_l is looked up by its
+    mask in a dict kept for the call, before the level is expanded, at
+    level 1 keyed by the source's own row object if it has no loop: false
+    twins, which share a row, sum their first level once, and a graph
+    without twins pays one probe per source.  On a miss, a graph of fewer
+    than ``_PLANE_MIN`` vertices walks the level's bits; a larger one builds
+    its degree planes (Biham 1997) before the first source, plane b marking
+    the vertices whose degree has bit b set, and takes every missed D_l as
+    the sum of popcount(level & plane_b) << b over b."""
     adjacency = g.adjacency
     everything = (1 << len(adjacency)) - 1
     degrees = [row.bit_count() for row in adjacency]
@@ -167,7 +158,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     eccentricities = []
     zagreb2 = gutman = schultz = 0
     dsum_of = {}  # degree sum of every level met, keyed by its mask
-    planes = None  # plane b marks the vertices whose degree has bit b set
+    planes = _degree_planes(degrees) if len(adjacency) >= _PLANE_MIN else None
     for source, deg_s in enumerate(degrees):
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
@@ -183,14 +174,13 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
             if (dsum := dsum_of.get(frontier)) is None:
-                if frontier.bit_count() < _PLANE_MIN:
+                if planes is None:
                     dsum, bits = 0, frontier
                     while bits:
                         low = bits & -bits
                         dsum += degrees[low.bit_length() - 1]
                         bits ^= low
                 else:
-                    planes = planes or _degree_planes(degrees)
                     dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
                 dsum_of[frontier] = dsum
             reach, bits = 0, frontier

@@ -341,6 +341,44 @@ def test_reader_closing_stdout_exits_141_without_a_traceback(argv, first_line):
     assert "Traceback" not in err
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has left: flushing it raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_leaves_no_devnull_fd_open(monkeypatch):
+    # main() points stdout's fd at devnull with dup2; the fd that os.open
+    # returned for devnull is then a duplicate and must be closed.
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        opened.append(fd)
+        return fd
+
+    owned = real_open(os.devnull, os.O_WRONLY)
+    try:
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(owned))
+        assert main(["compute", "12"]) == 141
+        monkeypatch.undo()
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+    finally:
+        os.close(owned)
+
+
 class TestParserReuse:
     """main() builds its parser once per process; no call may leave state
     behind for the next."""

@@ -522,6 +522,10 @@ class TestSaturationStop:
             (0b010, 0b001, 0b000),  # vertex 2 isolated, found from vertex 0
             (0b001, 0b100, 0b010),  # vertex 0 holds only its own loop
             (0b010, 0b001, 0b100),  # vertex 2 likewise
+            # Vertices 0 and 1 share the row {2}, but 2 points back only to
+            # 1, so 0 cannot be reached from 1: twins' BFS results are
+            # interchangeable only when the rows are symmetric.
+            (0b100, 0b100, 0b010),
         ],
     )
     def test_unreachable_vertex_is_disconnected(self, rows):
@@ -555,7 +559,7 @@ class TestSaturationStop:
 
 def plane_builds(count, edge_list):
     """Check the oracle against the naive reference, and return how often it
-    built the degree planes that sum its larger BFS levels."""
+    built the degree planes that sum the BFS levels of a larger graph."""
     real = divprime.oracle._degree_planes
     with mock.patch.object(divprime.oracle, "_degree_planes", wraps=real) as built:
         assert_matches_naive(count, edge_list)
@@ -564,9 +568,10 @@ def plane_builds(count, edge_list):
 
 @st.composite
 def graphs_with_a_large_level(draw):
-    """A connected graph on 34 to 100 vertices with a hub of degree 32 or
-    more that is not adjacent to every vertex, so the hub's first level holds
-    at least 32 vertices and is expanded, and some degree reaches bit 5.
+    """A connected graph on 34 to 100 vertices, either side of the 64 that
+    plane sums need, with a hub of degree 32 or more that is not adjacent to
+    every vertex, so the hub's first level holds at least 32 vertices and is
+    expanded, and some degree reaches bit 5.
     Vertices past the hub's neighbours join at a random earlier one, further
     edges avoid the hub, and vertices are then relabelled at random.  The
     edges come from a drawn seed: drawing each of up to 4950 pairs would make
@@ -585,9 +590,9 @@ def graphs_with_a_large_level(draw):
 
 
 def two_hubs_over_a_path(k):
-    """K(2,k) with a path through its k-side: from either hub the first level
-    is the k path vertices, of degrees 3 and 4, and the next the other hub.
-    No other level is expanded with more vertices."""
+    """K(2,k) with a path through its k-side, k + 2 vertices: from either hub
+    the first level is the k path vertices, of degrees 3 and 4, and the next
+    the other hub."""
     path = range(2, k + 2)
     return k + 2, [*((h, v) for h in (0, 1) for v in path), *zip(path, path[1:])]
 
@@ -606,17 +611,19 @@ def powers_of_two_graph():
 
 
 class TestDegreePlanes:
-    """A level of 32 or more vertices, missing from the level-sum dict, takes
-    its degree sum from bit-sliced degree planes built once per call."""
+    """A graph of 64 or more vertices builds bit-sliced degree planes once,
+    before its first source, and takes every level's degree sum missing from
+    the level-sum dict from them; a smaller graph builds none."""
 
     @given(graphs_with_a_large_level())
     @settings(max_examples=60, deadline=None)
     def test_graphs_with_a_large_level(self, graph):
-        assert plane_builds(*graph) == 1
+        count, _ = graph
+        assert plane_builds(*graph) == (1 if count >= 64 else 0)
 
-    @pytest.mark.parametrize(("k", "builds"), [(31, 0), (32, 1)])
-    def test_levels_either_side_of_the_threshold(self, k, builds):
-        assert plane_builds(*two_hubs_over_a_path(k)) == builds
+    @pytest.mark.parametrize(("count", "builds"), [(63, 0), (64, 1)])
+    def test_graphs_either_side_of_the_threshold(self, count, builds):
+        assert plane_builds(*two_hubs_over_a_path(count - 2)) == builds
 
     def test_every_degree_a_power_of_two(self):
         count, edge_list = powers_of_two_graph()

@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, rshift
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
 from .report import ORACLE, IndexReport, _check_handshake
@@ -38,9 +39,9 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, six runs each, build_graph and then
-#: oracle_report: exponents (5,3,2,1^5), D = 2304, 1.9-3.2 ms and 6.2-10 ms;
-#: (5,3,2,1^6), D = 4608, 4.1-6.3 ms and 21-29 ms; the squarefree
-#: 2*3*...*37, D = 4096, 5.7-14 ms and 27-50 ms.  Squarefree graphs, with no
+#: oracle_report: exponents (5,3,2,1^5), D = 2304, 1.4-1.7 ms and 6.4-7.6 ms;
+#: (5,3,2,1^6), D = 4608, 3.6-4.0 ms and 16-17 ms; the squarefree
+#: 2*3*...*37, D = 4096, 5.7-7.4 ms and 33-37 ms.  Squarefree graphs, with no
 #: twins to share a first BFS level, are the slowest near the cap.  The BFS
 #: from every vertex in oracle_report dominates.
 DEFAULT_CAP = 5000
@@ -91,15 +92,21 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     if cap is not None and (count := divisor_count(f)) > cap:
         raise CapExceededError(f.n, count, cap)
     verts = divisors(f)
-    # One row per squarefree divisor s of n, shared by every divisor with
-    # s's prime support.  Bit i of ``free`` is set when p does not divide
-    # verts[i]; base 2 is exempt from the int/str digit limit.
-    row_of = {1: (1 << len(verts)) - 1}
-    for p, _ in f.factors:
-        free = int("".join(["1" if v % p else "0" for v in reversed(verts)]), 2)
-        row_of |= {s * p: row & free for s, row in row_of.items()}
-    radical = max(row_of)
-    rows = [row_of[gcd(v, radical)] for v in verts]
+    # A divisor's support id (sid) has bit j set when the j-th prime divides
+    # it, looked up by the divisor's gcd with the radical in C-level maps.
+    # Plane j of the sids marks the divisors the j-th prime divides; ANDing
+    # its complement into every row so far appends the rows of the sids with
+    # bit j set, so row_of[sid] is the one row of that support.
+    sid_of = {1: 0}
+    for j, (p, _) in enumerate(f.factors):
+        sid_of |= {s * p: sid | 1 << j for s, sid in sid_of.items()}
+    sids = list(map(sid_of.__getitem__, map(gcd, verts, repeat(max(sid_of)))))
+    everything = (1 << len(verts)) - 1
+    row_of = [everything]
+    for divided in _bit_planes(sids):
+        free = everything ^ divided
+        row_of += [row & free for row in row_of]
+    rows = list(map(row_of.__getitem__, sids))
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
     return DivisorGraph(f.n, tuple(verts), tuple(rows))
 
@@ -114,15 +121,23 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
             upper ^= low
 
 
-def _degree_planes(degrees: list[int]) -> list[int]:
-    """Bit-sliced degrees: mask b marks the vertices whose degree has bit b set."""
-    by_degree = {}
-    for i, d in enumerate(degrees):
-        by_degree[d] = by_degree.get(d, 0) | 1 << i
-    return [
-        sum(mask for d, mask in by_degree.items() if d >> b & 1)
-        for b in range(max(degrees).bit_length())
-    ]
+def _bit_planes(values: list[int]) -> list[int]:
+    """Bit-sliced values: plane b marks the indices i where values[i] has
+    bit b set.  Each eight bits of the values give one byte per value, last
+    index first; plane b is that byte string translated to b"1" where bit
+    b % 8 is set and b"0" elsewhere, then read by ``int(..., 2)`` (base 2
+    is exempt from the int/str digit limit), so no Python code runs per
+    value.  Values below 256 are their own bytes."""
+    last_first = values[::-1]
+    width = max(values).bit_length()
+    planes = []
+    for b in range(width):
+        if not b % 8:  # bits b to b + 7 of every value, one byte each
+            chunk = map(rshift, last_first, repeat(b)) if b else last_first
+            octets = bytes(map(and_, chunk, repeat(255)) if b + 8 < width else chunk)
+        run = 1 << b % 8  # the table: runs of b"0" and b"1", each this long
+        planes.append(int(octets.translate((b"0" * run + b"1" * run) * (128 // run)), 2))
+    return planes
 
 
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
@@ -133,32 +148,37 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     Each source starts at its own row, less any loop, as level 1, and the
     levels are frontier masks, expanded until every vertex is seen; an
     empty level before then means the graph is disconnected.  A level's
-    rows are ORed only until they reach every unseen vertex, since the next
-    level is then all of them; on a divisor graph, divisor 1 saturates
-    level 1 at once.  Each level's vertices above the source are counted by
-    popcount, so each unordered pair is counted once, and level 1 gives the
-    edge count.  With D_l the degree sum of level l, source s adds
-    deg(s)*D_1, deg(s)*W and W, where W = sum(l*D_l) sums deg(t)*d(s, t)
-    over every t; over all s it is the sum of deg(t) times the transmission
-    of t, the Schultz index.  The last level, never expanded, has the total
-    degree less every earlier level.  Every other D_l is looked up by its
-    mask in a dict kept for the call, before the level is expanded, at
-    level 1 keyed by the source's own row object if it has no loop: false
-    twins, which share a row, sum their first level once, and a graph
-    without twins pays one probe per source.  On a miss, a graph of fewer
-    than ``_PLANE_MIN`` vertices walks the level's bits; a larger one builds
-    its degree planes (Biham 1997) before the first source, plane b marking
-    the vertices whose degree has bit b set, and takes every missed D_l as
-    the sum of popcount(level & plane_b) << b over b."""
+    rows are ORed, from its first row on, only until they reach every
+    unseen vertex.  Its successor is then every unseen vertex and the last
+    level, so the BFS of that source ends there; on a divisor graph,
+    divisor 1 saturates level 1 at once.  Each earlier level's vertices
+    above the source are counted by popcount, so each unordered pair is
+    counted once, and level 1 gives the edge count; the last level's are
+    the vertices above the source less those counted before.  With D_l the
+    degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
+    W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
+    sum of deg(t) times the transmission of t, the Schultz index.  The last
+    level, never expanded, has the total degree less every earlier level.
+    Every other D_l is looked up by its mask in a dict kept for the call,
+    before the level is expanded, at level 1 keyed by the source's own row
+    object if it has no loop: false twins, which share a row, sum their
+    first level once, and a graph without twins pays one probe per source.
+    On a miss, a graph of fewer than ``_PLANE_MIN`` vertices adds the
+    level's degrees on the walk that ORs its rows, going on past saturation
+    for the degrees alone; a larger one builds its degree planes (Biham
+    1997) with ``_bit_planes`` before the first source, plane b marking the
+    vertices whose degree has bit b set, and takes every missed D_l as the
+    sum of popcount(level & plane_b) << b over b."""
     adjacency = g.adjacency
-    everything = (1 << len(adjacency)) - 1
-    degrees = [row.bit_count() for row in adjacency]
+    count = len(adjacency)
+    everything = (1 << count) - 1
+    degrees = list(map(int.bit_count, adjacency))
     total = sum(degrees)
-    pairs = [0] * (len(adjacency) + 1)  # pair counts by distance; a level never passes D
+    pairs = [0] * (count + 1)  # pair counts by distance; a level never passes D
     eccentricities = []
     zagreb2 = gutman = schultz = 0
     dsum_of = {}  # degree sum of every level met, keyed by its mask
-    planes = _degree_planes(degrees) if len(adjacency) >= _PLANE_MIN else None
+    planes = _bit_planes(degrees) if count >= _PLANE_MIN else None
     for source, deg_s in enumerate(degrees):
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
@@ -169,35 +189,49 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         level = 1 if frontier else 0  # 0 only on a one-vertex graph
         weighted = 0
         rest = total - deg_s  # degree sum of the vertices not yet expanded
-        pairs[1] += (frontier >> above).bit_count()
+        placed = (frontier >> above).bit_count()
+        unplaced = count - above - placed  # vertices above the source not yet seen
+        pairs[1] += placed
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
-            if (dsum := dsum_of.get(frontier)) is None:
-                if planes is None:
-                    dsum, bits = 0, frontier
-                    while bits:
-                        low = bits & -bits
-                        dsum += degrees[low.bit_length() - 1]
-                        bits ^= low
-                else:
-                    dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
+            if (dsum := dsum_of.get(frontier)) is None and planes is not None:
+                dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
                 dsum_of[frontier] = dsum
-            reach, bits = 0, frontier
-            while bits:
-                low = bits & -bits
-                reach |= adjacency[low.bit_length() - 1]
-                bits ^= low
-                if reach | seen == everything:
-                    break  # saturated: the next level is every unseen vertex
+            low = frontier & -frontier
+            i = low.bit_length() - 1
+            reach, bits = adjacency[i], frontier ^ low
+            if dsum is None:  # a small graph's missed level: one walk ORs and sums it
+                dsum = degrees[i]
+                while not (saturated := reach | seen == everything) and bits:
+                    low = bits & -bits
+                    i = low.bit_length() - 1
+                    reach |= adjacency[i]
+                    dsum += degrees[i]
+                    bits ^= low
+                while bits:
+                    low = bits & -bits
+                    dsum += degrees[low.bit_length() - 1]
+                    bits ^= low
+                dsum_of[frontier] = dsum
+            else:
+                while not (saturated := reach | seen == everything) and bits:
+                    low = bits & -bits
+                    reach |= adjacency[low.bit_length() - 1]
+                    bits ^= low
             weighted += level * dsum
             rest -= dsum
             if level == 1:
                 zagreb2 += deg_s * dsum
+            level += 1
+            if saturated:  # the next level is every unseen vertex, and the last
+                pairs[level] += unplaced
+                break
             frontier = reach & ~seen
             seen |= frontier
-            level += 1
-            pairs[level] += (frontier >> above).bit_count()
+            placed = (frontier >> above).bit_count()
+            pairs[level] += placed
+            unplaced -= placed
         weighted += level * rest  # the last level
         if level == 1:
             zagreb2 += deg_s * rest

@@ -560,8 +560,8 @@ class TestSaturationStop:
 def plane_builds(count, edge_list):
     """Check the oracle against the naive reference, and return how often it
     built the degree planes that sum the BFS levels of a larger graph."""
-    real = divprime.oracle._degree_planes
-    with mock.patch.object(divprime.oracle, "_degree_planes", wraps=real) as built:
+    real = divprime.oracle._bit_planes
+    with mock.patch.object(divprime.oracle, "_bit_planes", wraps=real) as built:
         assert_matches_naive(count, edge_list)
     return built.call_count
 
@@ -610,6 +610,12 @@ def powers_of_two_graph():
     return count, edge_list
 
 
+def shuffled_path(count):
+    """A path through 0..count-1 in a seeded random order."""
+    order = random.Random(count).sample(range(count), count)
+    return count, list(zip(order, order[1:]))
+
+
 class TestDegreePlanes:
     """A graph of 64 or more vertices builds bit-sliced degree planes once,
     before its first source, and takes every level's degree sum missing from
@@ -634,9 +640,44 @@ class TestDegreePlanes:
 
     def test_each_plane_marks_one_bit_of_the_degrees(self):
         # Vertices of degree 0 lie in no plane, and a power of two in one.
-        assert divprime.oracle._degree_planes([0, 1, 0, 2, 4, 1]) == [0b100010, 0b1000, 0b10000]
-        assert divprime.oracle._degree_planes([5, 0, 3, 6]) == [0b0101, 0b1100, 0b1001]
-        assert divprime.oracle._degree_planes([0, 0]) == []
+        assert divprime.oracle._bit_planes([0, 1, 0, 2, 4, 1]) == [0b100010, 0b1000, 0b10000]
+        assert divprime.oracle._bit_planes([5, 0, 3, 6]) == [0b0101, 0b1100, 0b1001]
+        assert divprime.oracle._bit_planes([0, 0]) == []
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [255, 256, 0, 511, 1],  # two bytes a value, the upper unmasked
+            [65535, 65536, 3, 0, 70000, 256],  # three bytes, the middle masked
+            list(range(300)),
+            random.Random(23).choices(range(2**20), k=97),
+        ],
+        ids=["256", "65536", "range300", "random20bit"],
+    )
+    def test_planes_of_values_past_one_byte(self, values):
+        # Values of 256 or more give one byte per eight bits; every plane
+        # must still be the per-bit definition.
+        expected = [
+            sum(1 << i for i, v in enumerate(values) if v >> b & 1)
+            for b in range(max(values).bit_length())
+        ]
+        assert divprime.oracle._bit_planes(values) == expected
+
+    @pytest.mark.parametrize(
+        ("count", "edge_list"),
+        [
+            *((count, [(i, i + 1) for i in range(count - 1)]) for count in (64, 65, 130)),
+            *((count, [(i, (i + 1) % count) for i in range(count)]) for count in (64, 65, 130)),
+            shuffled_path(97),
+        ],
+        ids=["P64", "P65", "P130", "C64", "C65", "C130", "P97_shuffled"],
+    )
+    def test_long_paths_and_cycles(self, count, edge_list):
+        # Planes sum every level, and most levels are expanded without
+        # saturating.  The last level from the middle of an odd path, or
+        # from vertex 32 of C65 (64 and 0), holds vertices both below and
+        # above the source, so its pair count is not all above or below.
+        assert plane_builds(count, edge_list) == 1
 
 
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -704,6 +745,20 @@ class TestAdjacencyAtLargeD:
     def test_masks_equal_pairwise_gcd(self, n):
         g = graph_of(n)
         assert g.adjacency == gcd_adjacency(g.vertices)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            223092870,  # 2*3*...*23, omega 9, D = 512
+            6469693230,  # 2*3*...*29, omega 10, D = 1024
+            2**2 * 3**2 * 5 * 7 * 11 * 13 * 17 * 19 * 23,  # omega 9, D = 1152
+        ],
+    )
+    def test_more_than_eight_primes(self, n):
+        # Past eight primes the supports take more than one byte a divisor.
+        g = graph_of(n)
+        assert g.adjacency == gcd_adjacency(g.vertices)
+        assert len({id(row) for row in g.adjacency}) == 2 ** len(factorize(n).factors)
 
     def test_one_has_no_self_loop(self):
         g = graph_of(1)

@@ -48,11 +48,11 @@ DEFAULT_CAP = 5000
 
 #: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
 #: sums from degree planes rather than by walking their bits.  Measured on the
-#: same machine, per-graph minimum BFS time against a per-level rule (planes
-#: for a missed level of 32 or more vertices): at 64, as at 96 or 128, 1500
-#: graphs from [10^6, 2*10^6) take 0.95-0.97x, two rounds of D 384..1152
-#: 0.94-0.96x and D 48..256 0.92-0.95x; at 48 the 1500 take 0.98-1.00x, and
-#: at 256 D 48..256 takes 1.05x.
+#: same machine with the sum walk separate from the row-OR walk, per-graph
+#: minimum BFS time, thresholds interleaved per graph, median of 20 rounds
+#: against 64: on 1500 graphs from [10^6, 2*10^6), 48 takes 1.015x and 96
+#: 1.004x; on all 1121 exponent signatures with D 48..256, 48 takes 1.003x
+#: and 96 0.995x.
 _PLANE_MIN = 64
 
 
@@ -163,12 +163,12 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     before the level is expanded, at level 1 keyed by the source's own row
     object if it has no loop: false twins, which share a row, sum their
     first level once, and a graph without twins pays one probe per source.
-    On a miss, a graph of fewer than ``_PLANE_MIN`` vertices adds the
-    level's degrees on the walk that ORs its rows, going on past saturation
-    for the degrees alone; a larger one builds its degree planes (Biham
-    1997) with ``_bit_planes`` before the first source, plane b marking the
-    vertices whose degree has bit b set, and takes every missed D_l as the
-    sum of popcount(level & plane_b) << b over b."""
+    On a miss, a graph of fewer than ``_PLANE_MIN`` vertices sums the
+    level's degrees on a walk of its own, before its rows are ORed; a
+    larger one builds its degree planes (Biham 1997) with ``_bit_planes``
+    before the first source, plane b marking the vertices whose degree has
+    bit b set, and takes every missed D_l as the sum of
+    popcount(level & plane_b) << b over b."""
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
@@ -195,30 +195,22 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
-            if (dsum := dsum_of.get(frontier)) is None and planes is not None:
-                dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
+            if (dsum := dsum_of.get(frontier)) is None:
+                if planes is None:
+                    dsum, bits = 0, frontier
+                    while bits:
+                        low = bits & -bits
+                        dsum += degrees[low.bit_length() - 1]
+                        bits ^= low
+                else:
+                    dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
                 dsum_of[frontier] = dsum
             low = frontier & -frontier
-            i = low.bit_length() - 1
-            reach, bits = adjacency[i], frontier ^ low
-            if dsum is None:  # a small graph's missed level: one walk ORs and sums it
-                dsum = degrees[i]
-                while not (saturated := reach | seen == everything) and bits:
-                    low = bits & -bits
-                    i = low.bit_length() - 1
-                    reach |= adjacency[i]
-                    dsum += degrees[i]
-                    bits ^= low
-                while bits:
-                    low = bits & -bits
-                    dsum += degrees[low.bit_length() - 1]
-                    bits ^= low
-                dsum_of[frontier] = dsum
-            else:
-                while not (saturated := reach | seen == everything) and bits:
-                    low = bits & -bits
-                    reach |= adjacency[low.bit_length() - 1]
-                    bits ^= low
+            reach, bits = adjacency[low.bit_length() - 1], frontier ^ low
+            while not (saturated := reach | seen == everything) and bits:
+                low = bits & -bits
+                reach |= adjacency[low.bit_length() - 1]
+                bits ^= low
             weighted += level * dsum
             rest -= dsum
             if level == 1:

@@ -403,11 +403,14 @@ def complete_graph(count):
 # with duplicated leaves, leaf 7 is a twin of leaf 2, 8 of 4 and 9 of 6.  In
 # the twin ladder, 2 and 3 are twins, and sources 0 and 5 differ at level 1
 # but share level 2, {2, 3}; in C6 a source's level 2 is its antipode's
-# level 1.  So there the repeated frontiers lie past level 1.
+# level 1.  So there the repeated frontiers lie past level 1.  In K4 less
+# the edge 2-3, 2 and 3 are false twins sharing one row and one dict entry,
+# while 0 and 1 are adjacent true twins whose rows differ.
 TWIN_GRAPHS = {
     "spider_twin_leaves": (10, [*SPIDER_EDGES, (1, 7), (3, 8), (5, 9)]),
     "twin_ladder": (6, [(0, 1), (1, 2), (1, 3), (4, 2), (4, 3), (4, 5)]),
     "C6": (6, [(i, (i + 1) % 6) for i in range(6)]),
+    "K4_minus_edge": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
 }
 
 # The last vertex has no vertex above it, so its last BFS level adds no
@@ -468,8 +471,8 @@ class TestNaiveReference:
 
 # Vertex 0 is adjacent to every other vertex, and 1-2, 1-3, 3-4 are the
 # other edges.  From vertex 1 the first level is {0, 2, 3}: row 0 alone
-# reaches every vertex, so the BFS stops OR-ing there, while 2 and 3, of
-# degrees 2 and 3, still add to the level's degree sum.  The last level,
+# reaches every vertex, so the BFS stops OR-ing there, while the level's
+# degree sum still counts 2 and 3, of degrees 2 and 3.  The last level,
 # {4, 5}, holds vertices of degrees 2 and 1.
 FAN_EDGES = [*((0, v) for v in range(1, 6)), (1, 2), (1, 3), (3, 4)]
 
@@ -491,7 +494,7 @@ def rows_read(g):
 
 class TestSaturationStop:
     """The BFS ORs a level's rows only until they reach every unseen
-    vertex; the rest of the level then adds its degrees alone."""
+    vertex; the level's degree sum still counts every vertex in it."""
 
     @pytest.mark.parametrize(
         ("count", "edge_list"),
@@ -666,18 +669,19 @@ class TestDegreePlanes:
     @pytest.mark.parametrize(
         ("count", "edge_list"),
         [
-            *((count, [(i, i + 1) for i in range(count - 1)]) for count in (64, 65, 130)),
-            *((count, [(i, (i + 1) % count) for i in range(count)]) for count in (64, 65, 130)),
+            *((count, [(i, i + 1) for i in range(count - 1)]) for count in (63, 64, 65, 130)),
+            *((count, [(i, (i + 1) % count) for i in range(count)]) for count in (63, 64, 65, 130)),
             shuffled_path(97),
         ],
-        ids=["P64", "P65", "P130", "C64", "C65", "C130", "P97_shuffled"],
+        ids=["P63", "P64", "P65", "P130", "C63", "C64", "C65", "C130", "P97_shuffled"],
     )
     def test_long_paths_and_cycles(self, count, edge_list):
-        # Planes sum every level, and most levels are expanded without
-        # saturating.  The last level from the middle of an odd path, or
-        # from vertex 32 of C65 (64 and 0), holds vertices both below and
+        # Most levels are expanded without saturating, and each missed one
+        # is summed by a walk over its bits below 64 vertices and from the
+        # planes from 64 on.  The last level from the middle of an odd path,
+        # or from vertex 32 of C65 (64 and 0), holds vertices both below and
         # above the source, so its pair count is not all above or below.
-        assert plane_builds(count, edge_list) == 1
+        assert plane_builds(count, edge_list) == (1 if count >= 64 else 0)
 
 
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

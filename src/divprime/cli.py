@@ -60,14 +60,15 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        # An integer longer than Python's int<->str digit limit also lands
-        # here; name the limit rather than echo thousands of digits.
+        # An integer past Python's int<->str digit limit also lands here; name
+        # the limit rather than echo its digits, counted as int() reads them:
+        # one optional sign, then digit groups joined by single underscores.
         digits = text.strip()
-        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        groups = (digits[1:] if digits[:1] in ("+", "-") else digits).split("_")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if digits.isdecimal() and 0 < limit < len(digits):
+        if all(map(str.isdecimal, groups)) and 0 < limit < (count := sum(map(len, groups))):
             raise argparse.ArgumentTypeError(
-                f"integer of {len(digits)} digits exceeds Python's limit of "
+                f"integer of {count} digits exceeds Python's limit of "
                 f"{limit} digits (sys.get_int_max_str_digits())"
             )
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")

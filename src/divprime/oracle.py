@@ -20,7 +20,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import and_, mul, rshift
+from operator import mul
+from struct import pack
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
 from .report import ORACLE, IndexReport, _check_handshake
@@ -48,11 +49,11 @@ DEFAULT_CAP = 5000
 
 #: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
 #: sums from degree planes rather than by walking their bits.  Measured on the
-#: same machine with the sum walk separate from the row-OR walk, per-graph
+#: same machine with the planes sliced from one packed copy, per-graph
 #: minimum BFS time, thresholds interleaved per graph, median of 20 rounds
-#: against 64: on 1500 graphs from [10^6, 2*10^6), 48 takes 1.015x and 96
-#: 1.004x; on all 1121 exponent signatures with D 48..256, 48 takes 1.003x
-#: and 96 0.995x.
+#: against 64: on 1500 graphs from [10^6, 2*10^6), 48 takes 1.020-1.023x and
+#: 96 0.998-1.001x; on all 1121 exponent signatures with D 48..256, 48 takes
+#: 1.008x and 96 0.992-0.993x.
 _PLANE_MIN = 64
 
 
@@ -123,18 +124,15 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
 
 def _bit_planes(values: list[int]) -> list[int]:
     """Bit-sliced values: plane b marks the indices i where values[i] has
-    bit b set.  Each eight bits of the values give one byte per value, last
-    index first; plane b is that byte string translated to b"1" where bit
-    b % 8 is set and b"0" elsewhere, then read by ``int(..., 2)`` (base 2
-    is exempt from the int/str digit limit), so no Python code runs per
-    value.  Values below 256 are their own bytes."""
-    last_first = values[::-1]
-    width = max(values).bit_length()
+    bit b set.  Packed once, eight little-endian bytes a value, plane b is
+    byte b // 8 of every value, last index first, in one strided slice,
+    translated to b"1" where bit b % 8 is set and b"0" elsewhere and read by
+    ``int(..., 2)`` (base 2 has no digit limit).  Every value must be below
+    2^64, as degrees and support ids are, or ``pack`` raises ``struct.error``."""
+    packed = pack(f"<{len(values)}Q", *values)
     planes = []
-    for b in range(width):
-        if not b % 8:  # bits b to b + 7 of every value, one byte each
-            chunk = map(rshift, last_first, repeat(b)) if b else last_first
-            octets = bytes(map(and_, chunk, repeat(255)) if b + 8 < width else chunk)
+    for b in range(max(values).bit_length()):
+        octets = packed[b // 8 - 8 :: -8]  # byte b // 8 of every value
         run = 1 << b % 8  # the table: runs of b"0" and b"1", each this long
         planes.append(int(octets.translate((b"0" * run + b"1" * run) * (128 // run)), 2))
     return planes

@@ -78,16 +78,31 @@ class TestCompute:
         reason="no int<->str digit limit in this interpreter",
     )
     def test_overlong_integer_is_a_precise_usage_error(self, capsys):
+        # Digits are counted as int() reads them, underscores between them aside.
         limit = sys.get_int_max_str_digits()
-        text = "1" * (limit + 700)
+        for text, digits in [("1" * (limit + 700), limit + 700), ("1_" * limit + "1", limit + 1)]:
+            with pytest.raises(SystemExit) as err:
+                main(["compute", text])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert f"integer of {digits} digits exceeds" in message
+            assert f"limit of {limit} digits" in message
+            assert "not an integer" not in message
+            assert text[:100] not in message
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int<->str digit limit in this interpreter",
+    )
+    def test_malformed_overlong_literal_is_not_an_integer(self, capsys):
+        # A double underscore makes no literal, however many digits it joins.
+        text = "1__" + "1" * (sys.get_int_max_str_digits() + 700)
         with pytest.raises(SystemExit) as err:
             main(["compute", text])
         assert err.value.code == 2
         message = capsys.readouterr().err
-        assert f"integer of {limit + 700} digits exceeds" in message
-        assert f"limit of {limit} digits" in message
-        assert "not an integer" not in message
-        assert "1" * 100 not in message
+        assert "is not an integer" in message
+        assert "exceeds" not in message
 
     def test_long_n_below_the_digit_limit_prints_its_csv(self, capsys):
         # 3914 digits: under the default limit of 4300, so the CLI accepts it

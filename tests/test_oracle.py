@@ -1,5 +1,6 @@
 import random
 import re
+import struct
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
@@ -650,21 +651,38 @@ class TestDegreePlanes:
     @pytest.mark.parametrize(
         "values",
         [
-            [255, 256, 0, 511, 1],  # two bytes a value, the upper unmasked
-            [65535, 65536, 3, 0, 70000, 256],  # three bytes, the middle masked
+            [255, 256, 0, 511, 1],  # two bytes a value
+            [65535, 65536, 3, 0, 70000, 256],  # three bytes a value
             list(range(300)),
             random.Random(23).choices(range(2**20), k=97),
+            # Either side of each byte boundary up to the top of the eight
+            # packed bytes, 2^64 - 1 included: all ones, the top bit alone.
+            *(
+                [2**w - 1, 0, 2 ** (w - 1), *map(random.Random(w).getrandbits, [w] * 41)]
+                for w in (8, 9, 16, 17, 56, 57, 63, 64)
+            ),
         ],
-        ids=["256", "65536", "range300", "random20bit"],
+        ids=[
+            "256",
+            "65536",
+            "range300",
+            "random20bit",
+            *(f"width{w}" for w in (8, 9, 16, 17, 56, 57, 63, 64)),
+        ],
     )
     def test_planes_of_values_past_one_byte(self, values):
-        # Values of 256 or more give one byte per eight bits; every plane
-        # must still be the per-bit definition.
+        # Each value is packed as eight bytes and plane b is sliced from
+        # byte b // 8; every plane must still be the per-bit definition.
         expected = [
             sum(1 << i for i, v in enumerate(values) if v >> b & 1)
             for b in range(max(values).bit_length())
         ]
         assert divprime.oracle._bit_planes(values) == expected
+
+    def test_values_from_2_to_the_64_are_refused(self):
+        # The precondition: every value fits in eight packed bytes.
+        with pytest.raises(struct.error):
+            divprime.oracle._bit_planes([2**64])
 
     @pytest.mark.parametrize(
         ("count", "edge_list"),

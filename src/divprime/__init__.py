@@ -17,7 +17,7 @@ package itself re-exports only the main entry points and the types they
 return; every other name is imported from its own module.
 """
 
-from .arithmetic import Factorization, factorize
+from .arithmetic import FactorBudgetError, Factorization, factorize
 from .formulas import cf_report
 from .oracle import DEFAULT_CAP, CapExceededError, DivisorGraph, build_graph, oracle_report
 from .report import IndexReport
@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_CAP",
     "CapExceededError",
     "DivisorGraph",
+    "FactorBudgetError",
     "Factorization",
     "IndexReport",
     "SweepSummary",

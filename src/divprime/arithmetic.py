@@ -3,10 +3,21 @@
 Both computation paths consume the canonical :class:`Factorization` built
 here: the closed forms read only the prime exponents, the brute-force graph
 oracle enumerates the actual divisors.  Plain Python ints are used
-throughout, so every value is exact at any size.  Primality is a set lookup
-below the trial-division bound, then Miller-Rabin with the bases proven for
-n's size below psi_13 (about 3.3e24), so its cost follows that size; past
-psi_13 all fourteen bases give a deterministic test that is not proven.
+throughout, so every value is exact at any size.
+
+Factorization runs four stages.  Trial division strips the primes below
+10^4.  Each composite cofactor left is split as a perfect power if it is
+one, else by Pollard's p-1 method (Pollard 1974): stage 1 raises 3 to the
+largest power below 10^4 of every prime below it in one ``pow``, and stage 2
+tries each prime in [10^4, 5*10^4) as the one large factor of p - 1
+(Montgomery 1987).  What
+p-1 leaves goes to Brent's variant of Pollard rho, which gives up with
+:class:`FactorBudgetError` after 2^25 steps rather than run without end.
+
+Primality is a set lookup below the trial-division bound, then Miller-Rabin
+with the bases proven for n's size below psi_13 (about 3.3e24), so its cost
+follows that size; past psi_13 all fourteen bases give a deterministic test
+that is not proven.
 
 All functions are pure and all returned values immutable, so they are safe
 to share across threads or worker processes.
@@ -17,9 +28,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import compress
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 __all__ = [
+    "FactorBudgetError",
     "Factorization",
     "divisor_count",
     "divisors",
@@ -28,12 +40,24 @@ __all__ = [
     "is_prime",
 ]
 
-# Trial division strips primes below this; Pollard rho handles the rest.
-# Kept modest so that factoring thousands of 12-digit numbers stays fast.
+# Trial division strips primes below this; p-1 and Pollard rho handle the
+# rest.  Kept modest so that factoring thousands of 12-digit numbers stays
+# fast.  It is also p-1's stage-1 bound.
 _TRIAL_BOUND = 10_000
+
+# Pollard p-1: the base, and the end of stage 2's primes.  Not 2: it has
+# order 89 modulo 2^89 - 1, so base 2 finds both Mersenne primes of
+# (2^89 - 1)^2 * (2^61 - 1) at once.
+_PM1_BASE = 3
+_PM1_BOUND2 = 50_000
 
 # Fixed seed for the rho stage, so factorize(n) is deterministic.
 _RHO_SEED = 0x0D17C0DE
+
+# Brent rho's f-steps over all its walks on one cofactor, about 8x what
+# psi_13 takes (4.2M).  A stride that could pass it is not begun:
+# factorize raises FactorBudgetError instead.
+_RHO_BUDGET = 1 << 25
 
 # Miller-Rabin witnesses by input size.  Below each bound, every odd
 # composite fails the test for one of the first k prime bases: the bounds
@@ -60,18 +84,18 @@ def exact_half(value: int) -> int:
 
 
 @cache
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_BOUND
+def _primes_below(bound: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * bound
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(_TRIAL_BOUND**0.5) + 1):
+    for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(compress(range(_TRIAL_BOUND), sieve))
+    return tuple(compress(range(bound), sieve))
 
 
 @cache
 def _small_prime_set() -> frozenset[int]:
-    return frozenset(_small_primes())
+    return frozenset(_primes_below(_TRIAL_BOUND))
 
 
 def is_prime(n: int) -> bool:
@@ -140,12 +164,58 @@ class Factorization(namedtuple("Factorization", "n factors")):
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
+class FactorBudgetError(ArithmeticError):
+    """Pollard rho reached its step budget without splitting a cofactor."""
+
+
+@cache
+def _pm1_plan() -> tuple[int, int, tuple[int, ...]]:
+    """Stage 1's exponent, the product of the largest power below
+    _TRIAL_BOUND of every prime below it; stage 2's first prime; and the
+    gaps between consecutive primes from there up to _PM1_BOUND2."""
+    exponent = 1
+    for p in _primes_below(_TRIAL_BOUND):
+        power = p
+        while power * p < _TRIAL_BOUND:
+            power *= p
+        exponent *= power
+    primes = _primes_below(_PM1_BOUND2)[len(_primes_below(_TRIAL_BOUND)) :]
+    return exponent, primes[0], tuple(b - a for a, b in zip(primes, primes[1:]))
+
+
+def _pollard_pm1(m: int) -> int:
+    """Pollard's p-1 on a composite m: a proper divisor of m, or 1 or m
+    when neither stage splits it.
+
+    Stage 1 takes x = _PM1_BASE^E mod m, E the stage-1 exponent, so
+    gcd(x - 1, m) holds every prime p of m for which the order of the base
+    modulo p divides E.  Stage 2 catches those whose order is such a
+    divisor times one prime q in [_TRIAL_BOUND, _PM1_BOUND2): it multiplies
+    x^q - 1 over every such q, reaching each x^q from the one before by a
+    cached power x^gap, and takes one gcd at the end."""
+    exponent, first, gaps = _pm1_plan()
+    x = pow(_PM1_BASE, exponent, m)
+    g = gcd(x - 1, m)
+    if g != 1:
+        return g
+    step = {gap: pow(x, gap, m) for gap in set(gaps)}
+    y = pow(x, first, m)
+    product = y - 1
+    for gap in gaps:
+        y = y * step[gap] % m
+        product = product * (y - 1) % m
+    return gcd(product, m)
+
+
 def _pollard_rho(n: int) -> int:
     """Brent's cycle variant of Pollard rho with a fixed-seed RNG; n must be
-    an odd composite with no prime factor below _TRIAL_BOUND."""
+    an odd composite with no prime factor below _TRIAL_BOUND.  Raises
+    FactorBudgetError rather than begin a stride r whose 2r f-steps could
+    take its walks past _RHO_BUDGET, checked once per doubling of r."""
     import random  # lazily: most inputs never reach rho
 
     rng = random.Random(_RHO_SEED)
+    spent = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -153,6 +223,11 @@ def _pollard_rho(n: int) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if spent + 2 * r > _RHO_BUDGET:  # a stride of r takes up to 2r steps
+                raise FactorBudgetError(
+                    f"Pollard rho found no factor of a {len(str(n))}-digit "
+                    f"cofactor within its budget of {_RHO_BUDGET} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -164,6 +239,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += m
+            spent += r + min(k, r)
             r *= 2
         if g == n:
             # Backtrack one multiplication at a time.
@@ -189,17 +265,19 @@ def _iroot(m: int, k: int) -> int:
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into its canonical prime factorization.
 
-    Trial division by the primes below 10000 first.  Each composite cofactor
-    left is then split as a perfect power or by Pollard rho with a fixed
-    seed, and Miller-Rabin checks the parts, so the result is deterministic
-    for a given n and comfortably handles inputs far beyond what the
-    explicit graph can represent.
+    Trial division by the primes below 10^4 first.  Each composite cofactor
+    left is then split as a perfect power, else by Pollard p-1 (stage 1 to
+    10^4, stage 2 to 5*10^4), else by Pollard rho with a fixed seed, and
+    Miller-Rabin checks the parts, so the result is deterministic for a
+    given n and comfortably handles inputs far beyond what the explicit
+    graph can represent.  Raises FactorBudgetError when rho spends its
+    budget of 2^25 steps on a cofactor without splitting it.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     remaining = n
     exponents: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _primes_below(_TRIAL_BOUND):
         if p * p > remaining:
             break
         while remaining % p == 0:
@@ -221,7 +299,9 @@ def factorize(n: int) -> Factorization:
                 stack += [root] * k
                 break
         else:
-            d = _pollard_rho(m)
+            d = _pollard_pm1(m)
+            if d == 1 or d == m:
+                d = _pollard_rho(m)
             stack += [d, m // d]
     return Factorization(n, tuple(sorted(exponents.items())))
 

@@ -4,8 +4,9 @@
     divprime verify <lo> <hi> [--cap D] [--format table|json|csv]
     divprime export <n> [--style dot|adjacency-json] [--cap D]
 
-Exit codes: 0 success or verified, 1 mismatch or a cap hit by compute or
-export, 2 usage error, 141 stdout closed by its reader before the output
+Exit codes: 0 success or verified, 1 mismatch, a cap hit by compute or
+export, or an n that Pollard rho could not factor within its step budget,
+2 usage error, 141 stdout closed by its reader before the output
 ended (what a shell reports for SIGPIPE, as in ``divprime verify 1 20000 |
 head``).
 
@@ -29,7 +30,7 @@ from functools import cache
 from operator import attrgetter
 from time import perf_counter
 
-from .arithmetic import Factorization, factorize
+from .arithmetic import FactorBudgetError, Factorization, factorize
 from .formulas import cf_report
 from .oracle import DEFAULT_CAP, CapExceededError, build_graph, edges
 from .report import COMPARED_FIELDS, IndexReport
@@ -298,6 +299,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = run[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here at the latest
+    except FactorBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader left early (`| head`).  Point stdout at devnull so the
         # flush at exit cannot fail again, and exit as a shell does on SIGPIPE.

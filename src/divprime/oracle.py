@@ -124,15 +124,19 @@ def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
 
 def _bit_planes(values: list[int]) -> list[int]:
     """Bit-sliced values: plane b marks the indices i where values[i] has
-    bit b set.  Packed once, eight little-endian bytes a value, plane b is
-    byte b // 8 of every value, last index first, in one strided slice,
-    translated to b"1" where bit b % 8 is set and b"0" elsewhere and read by
-    ``int(..., 2)`` (base 2 has no digit limit).  Every value must be below
-    2^64, as degrees and support ids are, or ``pack`` raises ``struct.error``."""
-    packed = pack(f"<{len(values)}Q", *values)
+    bit b set.  Packed once, one byte a value below 256 (every support id at
+    omega <= 8, every degree below 256) and eight little-endian bytes
+    otherwise, plane b is byte b // 8 of every value, last index first, in
+    one strided slice, translated to b"1" where bit b % 8 is set and b"0"
+    elsewhere and read by ``int(..., 2)`` (base 2 has no digit limit).  Every
+    value must be below 2^64, as degrees and support ids are, or ``pack``
+    raises ``struct.error``."""
+    top = max(values)
+    width = 1 if top < 256 else 8
+    packed = bytes(values) if width == 1 else pack(f"<{len(values)}Q", *values)
     planes = []
-    for b in range(max(values).bit_length()):
-        octets = packed[b // 8 - 8 :: -8]  # byte b // 8 of every value
+    for b in range(top.bit_length()):
+        octets = packed[b // 8 - width :: -width]  # byte b // 8 of every value
         run = 1 << b % 8  # the table: runs of b"0" and b"1", each this long
         planes.append(int(octets.translate((b"0" * run + b"1" * run) * (128 // run)), 2))
     return planes

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divprime.arithmetic
 from divprime.arithmetic import (
+    FactorBudgetError,
     Factorization,
     _iroot,
+    _pm1_plan,
+    _pollard_pm1,
     divisor_count,
     divisors,
     exact_half,
@@ -268,6 +272,95 @@ class TestPrimalityTiers:
     @pytest.mark.parametrize("exponent", [31, 61, 89, 127])
     def test_accepts_mersenne_prime(self, exponent):
         assert is_prime(2**exponent - 1)
+
+
+# Pollard p-1 splits p from p * q when p - 1 is 10^4-smooth (stage 1) or
+# such a number times one prime in [10^4, 5 * 10^4) (stage 2).  A safe prime
+# q = 2q' + 1 with q' prime is found by neither stage.
+P_STAGE1 = 2**2 * 7 * 19 * 41 * 61 * 67 * 89 + 1
+P_STAGE1_TOO = 2 * 5 * 11 * 13 * 23 * 31 * 37 * 43 + 1
+P_STAGE2 = 2**2 * 5 * 41 * 61 * 20011 + 1
+SAFE, SAFE_TOO = 2 * 500000003 + 1, 2 * 500000201 + 1
+
+
+class TestPollardPm1:
+    """Each case is checked on what _pollard_pm1 returns and on factorize,
+    which hands anything but a proper divisor on to Pollard rho."""
+
+    def test_inputs_are_what_they_claim(self):
+        for p in (P_STAGE1, P_STAGE1_TOO, P_STAGE2, SAFE, SAFE_TOO):
+            assert trial_division_is_prime(p)
+        assert trial_division_is_prime(20011)
+        assert trial_division_is_prime(SAFE // 2) and trial_division_is_prime(SAFE_TOO // 2)
+
+    def test_stage_1_splits_a_smooth_p_minus_1(self):
+        assert _pollard_pm1(P_STAGE1 * SAFE) == P_STAGE1
+        assert factorize(P_STAGE1 * SAFE).factors == ((SAFE, 1), (P_STAGE1, 1))
+
+    def test_stage_2_splits_one_prime_past_the_trial_bound(self):
+        m = P_STAGE2 * SAFE
+        exponent = _pm1_plan()[0]
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
+        assert _pollard_pm1(m) == P_STAGE2
+        assert factorize(m).factors == ((SAFE, 1), (P_STAGE2, 1))
+
+    def test_two_safe_primes_go_on_to_rho(self):
+        assert _pollard_pm1(SAFE * SAFE_TOO) == 1
+        assert factorize(SAFE * SAFE_TOO).factors == ((SAFE, 1), (SAFE_TOO, 1))
+
+    def test_two_smooth_primes_give_m_and_go_on_to_rho(self):
+        m = P_STAGE1 * P_STAGE1_TOO
+        assert _pollard_pm1(m) == m
+        assert factorize(m).factors == ((P_STAGE1_TOO, 1), (P_STAGE1, 1))
+
+    def test_base_3_splits_off_mersenne_61(self):
+        # Base 2 has order 89 modulo 2^89 - 1 and 61 modulo 2^61 - 1, so it
+        # would find both primes at once and leave rho a ~2^30-step split.
+        m89 = 2**89 - 1
+        assert _pollard_pm1(m89**2 * M61) == M61
+        assert factorize(m89**2 * M61).factors == ((M61, 1), (m89, 2))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=10**4, max_value=10**9), st.integers(1, 2)),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_past_trial_division(self, draws):
+        # Two or three primes above the trial bound, some squared, so that
+        # p-1, the perfect-power test and rho all run.
+        expected: dict[int, int] = {}
+        for start, e in draws:
+            p = start
+            while not is_prime(p):
+                p += 1
+            expected[p] = expected.get(p, 0) + e
+        n = 1
+        for p, e in expected.items():
+            n *= p**e
+        assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
+class TestRhoBudget:
+    """Pollard rho gives up after _RHO_BUDGET steps with a typed error that
+    names the cofactor's size; the CLI prints it and exits 1."""
+
+    def test_factorize_raises_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        with pytest.raises(FactorBudgetError, match="of a 19-digit cofactor"):
+            factorize(12 * SAFE * SAFE_TOO)
+
+    def test_compute_exits_1_with_the_message(self, monkeypatch, capsys):
+        monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        assert main(["compute", str(12 * SAFE * SAFE_TOO), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Pollard rho found no factor of a 19-digit cofactor "
+            "within its budget of 1000 steps\n"
+        )
 
 
 def test_exact_half():

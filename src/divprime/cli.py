@@ -264,13 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    fact = factorize(args.n)
-    try:
-        graph = build_graph(fact, cap=args.cap)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    graph = build_graph(factorize(args.n), cap=args.cap)
     if args.style == "dot":
         print(f"graph divprime_{graph.n} {{")
         for v in graph.vertices:
@@ -299,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = run[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here at the latest
-    except FactorBudgetError as exc:
+    except (CapExceededError, FactorBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

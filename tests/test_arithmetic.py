@@ -49,9 +49,9 @@ class TestFactorize:
         assert factorize(1000003).factors == ((1000003, 1),)
 
     def test_rejects_zero_and_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
             factorize(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got -12$"):
             factorize(-12)
 
     def test_semiprime_beyond_trial_division(self):
@@ -272,6 +272,38 @@ class TestPrimalityTiers:
     @pytest.mark.parametrize("exponent", [31, 61, 89, 127])
     def test_accepts_mersenne_prime(self, exponent):
         assert is_prime(2**exponent - 1)
+
+
+# Where is_prime's tiers start: the trial bound, then each _MR_TIERS bound,
+# the last of which is psi_13; and 10^30, well inside the last tier.
+TIER_STARTS = (
+    divprime.arithmetic._TRIAL_BOUND,
+    *(bound for bound, _ in divprime.arithmetic._MR_TIERS),
+    10**30,
+)
+
+
+class TestMultiplesOfTheBases:
+    """is_prime relies on Miller-Rabin alone to reject a multiple n >= 10^4 of
+    one of its bases a: a^d mod n and each of its squares share the factor a
+    with n, so none of them is 1 or n - 1."""
+
+    @pytest.mark.parametrize("start", TIER_STARTS)
+    def test_base_times_a_prime_just_past_each_tier_start(self, start):
+        for a in divprime.arithmetic._MR_BASES:
+            q = start // a + 1
+            while not is_prime(q):
+                q += 1
+            assert a * q > start
+            assert not is_prime(a * q), (a, q)
+
+    def test_square_of_each_base(self):
+        assert [a for a in divprime.arithmetic._MR_BASES if is_prime(a * a)] == []
+
+    @pytest.mark.parametrize("start", TIER_STARTS)
+    def test_even_number_in_each_tier(self, start):
+        assert not is_prime(start + (start & 1))
+        assert not is_prime(start + (start & 1) + 2)
 
 
 # Pollard p-1 splits p from p * q when p - 1 is 10^4-smooth (stage 1) or

@@ -311,9 +311,10 @@ class TestExport:
         assert pairs == sorted(pairs)
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "export", "720720", "--cap", "100")
+        code, out, err = run(capsys, "export", "720720", "--cap", "100")
         assert code == 1
-        assert "cap" in err
+        assert out == ""
+        assert err == "error: n = 720720 has 240 divisors, above the configured cap of 100\n"
 
 
 @pytest.mark.parametrize("argv", [["compute", "12", "--cap", "4"], ["verify", "9", "3"]])

@@ -122,7 +122,7 @@ def test_replace_validates_like_the_constructor(make_bad):
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     # Importing the CLI is most of a one-shot command's own time.  -S skips
     # site, whose .pth files may import typing or random and so hide a
-    # regression; random is needed only once Pollard rho runs.
+    # regression; nothing in the package needs random.
     src = str(Path(divprime.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import divprime.cli; "
@@ -132,3 +132,17 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_pollard_rho_does_not_import_random():
+    # psi_12 survives trial division and p-1, so rho splits it; its walks
+    # start from a fixed point and need no random number generator.
+    src = str(Path(divprime.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from divprime import factorize; "
+        "print(factorize(318665857834031151167461), 'random' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "399165290221 * 798330580441 False\n"

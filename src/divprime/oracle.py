@@ -39,21 +39,19 @@ __all__ = [
 
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
-#: a 2-core Xeon with Python 3.11, six runs each, build_graph and then
-#: oracle_report: exponents (5,3,2,1^5), D = 2304, 1.4-1.7 ms and 6.4-7.6 ms;
-#: (5,3,2,1^6), D = 4608, 3.6-4.0 ms and 16-17 ms; the squarefree
-#: 2*3*...*37, D = 4096, 5.7-7.4 ms and 33-37 ms.  Squarefree graphs, with no
-#: twins to share a first BFS level, are the slowest near the cap.  The BFS
-#: from every vertex in oracle_report dominates.
+#: a 2-core Xeon with Python 3.11, median of twelve runs, build_graph and then
+#: oracle_report: the squarefree 2*3*...*37, D = 4096, 5.8 ms and 33 ms;
+#: exponents (5,3,2,1^6), D = 4608, 3.4 ms and 11.6 ms; (3^6), D = 4096,
+#: 2.7 ms and 6.1 ms.  Squarefree graphs, whose rows are all distinct, so that
+#: every source sums its own first BFS level, are the slowest.
 DEFAULT_CAP = 5000
 
 #: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
 #: sums from degree planes rather than by walking their bits.  Measured on the
-#: same machine with the planes sliced from one packed copy, per-graph
-#: minimum BFS time, thresholds interleaved per graph, median of 20 rounds
-#: against 64: on 1500 graphs from [10^6, 2*10^6), 48 takes 1.020-1.023x and
-#: 96 0.998-1.001x; on all 1121 exponent signatures with D 48..256, 48 takes
-#: 1.008x and 96 0.992-0.993x.
+#: same machine, per-graph minimum BFS time, thresholds interleaved per graph,
+#: median of 20 rounds against 64, two runs: on 1500 graphs from
+#: [10^6, 2*10^6), 48 takes 1.011-1.017x and 96 1.001-1.005x; on all 1121
+#: exponent signatures with D 48..256, 48 takes 1.004-1.005x and 96 0.992x.
 _PLANE_MIN = 64
 
 
@@ -161,15 +159,19 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
     sum of deg(t) times the transmission of t, the Schultz index.  The last
     level, never expanded, has the total degree less every earlier level.
-    Every other D_l is looked up by its mask in a dict kept for the call,
-    before the level is expanded, at level 1 keyed by the source's own row
-    object if it has no loop: false twins, which share a row, sum their
-    first level once, and a graph without twins pays one probe per source.
-    On a miss, a graph of fewer than ``_PLANE_MIN`` vertices sums the
-    level's degrees on a walk of its own, before its rows are ORed; a
-    larger one builds its degree planes (Biham 1997) with ``_bit_planes``
-    before the first source, plane b marking the vertices whose degree has
-    bit b set, and takes every missed D_l as the sum of
+
+    A source s whose row R has no loop and 0 < deg(s) < D - 1 looks R up in
+    a memo kept for the call and filled by R's first source: D_1 if R ORed
+    with the row of its lowest vertex is every vertex, s included, else -1.
+    On such a cover s adds its pairs, deg(s)*D_1 and
+    W = D_1 + 2*(total - deg(s) - D_1) at eccentricity 2 without expanding
+    a level, so false twins, which share R, pay one shift each.  Every other
+    source runs the BFS; on a divisor graph those are the divisors adjacent
+    to every other one, 1 and, for n = p, p, and they expand no level.  A
+    graph of fewer than ``_PLANE_MIN`` vertices sums a level's degrees on a
+    walk over its bits; a larger one builds its degree planes (Biham 1997)
+    with ``_bit_planes`` before the first source, plane b marking the
+    vertices whose degree has bit b set, and takes D_l as the sum of
     popcount(level & plane_b) << b over b."""
     adjacency = g.adjacency
     count = len(adjacency)
@@ -179,14 +181,40 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     pairs = [0] * (count + 1)  # pair counts by distance; a level never passes D
     eccentricities = []
     zagreb2 = gutman = schultz = 0
-    dsum_of = {}  # degree sum of every level met, keyed by its mask
+    memo = {}  # a loop-free row's D_1 if it covers, else -1
     planes = _bit_planes(degrees) if count >= _PLANE_MIN else None
+
+    def level_sum(mask):
+        if planes is not None:
+            return sum((mask & plane).bit_count() << b for b, plane in enumerate(planes))
+        dsum = 0
+        while mask:
+            low = mask & -mask
+            dsum += degrees[low.bit_length() - 1]
+            mask ^= low
+        return dsum
+
     for source, deg_s in enumerate(degrees):
+        frontier = adjacency[source]
+        later = frontier >> source  # bit 0 is the loop; the rest are the vertices above
+        if not later & 1 and 0 < deg_s < count - 1:
+            if (dsum := memo.get(frontier)) is None:
+                covers = frontier | adjacency[(frontier & -frontier).bit_length() - 1] == everything
+                dsum = memo[frontier] = level_sum(frontier) if covers else -1
+            if dsum >= 0:
+                placed = later.bit_count()
+                pairs[1] += placed
+                pairs[2] += count - source - 1 - placed
+                zagreb2 += deg_s * dsum
+                weighted = dsum + 2 * (total - deg_s - dsum)
+                gutman += deg_s * weighted
+                schultz += weighted
+                eccentricities.append(2)
+                continue
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
-        frontier = adjacency[source]
-        if frontier & bit:
-            frontier ^= bit  # drop a loop; without one the row itself is the key
+        if later & 1:
+            frontier ^= bit  # drop a loop
         seen = frontier | bit
         level = 1 if frontier else 0  # 0 only on a one-vertex graph
         weighted = 0
@@ -197,16 +225,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         while seen != everything:
             if not frontier:
                 raise ValueError("divisor prime graph is disconnected")
-            if (dsum := dsum_of.get(frontier)) is None:
-                if planes is None:
-                    dsum, bits = 0, frontier
-                    while bits:
-                        low = bits & -bits
-                        dsum += degrees[low.bit_length() - 1]
-                        bits ^= low
-                else:
-                    dsum = sum((frontier & plane).bit_count() << b for b, plane in enumerate(planes))
-                dsum_of[frontier] = dsum
+            dsum = level_sum(frontier)
             low = frontier & -frontier
             reach, bits = adjacency[low.bit_length() - 1], frontier ^ low
             while not (saturated := reach | seen == everything) and bits:

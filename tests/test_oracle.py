@@ -4,7 +4,9 @@ import struct
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm, prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -400,13 +402,14 @@ def complete_graph(count):
 
 
 # False twins: vertices with one neighbourhood, hence equal rows, and so one
-# first BFS level whose degree sum the oracle walks once.  In the spider
-# with duplicated leaves, leaf 7 is a twin of leaf 2, 8 of 4 and 9 of 6.  In
-# the twin ladder, 2 and 3 are twins, and sources 0 and 5 differ at level 1
-# but share level 2, {2, 3}; in C6 a source's level 2 is its antipode's
-# level 1.  So there the repeated frontiers lie past level 1.  In K4 less
-# the edge 2-3, 2 and 3 are false twins sharing one row and one dict entry,
-# while 0 and 1 are adjacent true twins whose rows differ.
+# first BFS level.  In the spider with duplicated leaves, leaf 7 is a twin of
+# leaf 2, 8 of 4 and 9 of 6.  In the twin ladder, 2 and 3 are twins, and
+# sources 0 and 5 differ at level 1 but share level 2, {2, 3}; in C6 a
+# source's level 2 is its antipode's level 1.  In these three no row covers
+# every vertex with the row of its lowest vertex, so every source runs the
+# BFS.  In K4 less the edge 2-3, 2 and 3 are false twins sharing one row,
+# which row 0 covers, and so one entry of the first-level memo, while 0 and 1
+# are adjacent true twins whose rows differ.
 TWIN_GRAPHS = {
     "spider_twin_leaves": (10, [*SPIDER_EDGES, (1, 7), (3, 8), (5, 9)]),
     "twin_ladder": (6, [(0, 1), (1, 2), (1, 3), (4, 2), (4, 3), (4, 5)]),
@@ -493,6 +496,14 @@ def rows_read(g):
     return rows.read
 
 
+def relabelled(rows, label):
+    """The rows with vertex i renamed label[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[label[i]] = sum(1 << label[j] for j in range(len(rows)) if row >> j & 1)
+    return tuple(out)
+
+
 class TestSaturationStop:
     """The BFS ORs a level's rows only until they reach every unseen
     vertex; the level's degree sum still counts every vertex in it."""
@@ -515,9 +526,15 @@ class TestSaturationStop:
         # Each source reads its own row, then row 0, which saturates its
         # first level; its last level is never expanded.
         assert rows_read(graph_from_edges(6, FAN_EDGES)) == [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0]
-        # On a divisor graph divisor 1 is adjacent to every other divisor.
-        g = graph_of(720)
-        assert rows_read(g) == [0, *(i for s in range(1, len(g.vertices)) for i in (s, 0))]
+        # On a divisor graph divisor 1 is adjacent to every other divisor, so
+        # row 0 covers every row but its own.  Each source reads its own row,
+        # and row 0 follows only the first divisor of each of the 7 nonempty
+        # prime supports of 720 (2, 3, 5, 6, 10, 15 and 30, at indices 1, 2,
+        # 4, 5, 8, 10 and 15); their false twins take level 1 from the memo.
+        assert rows_read(graph_of(720)) == [
+            *(0, 1, 0, 2, 0, 3, 4, 0, 5, 0, 6, 7, 8, 0, 9, 10, 0),
+            *(11, 12, 13, 14, 15, 0, *range(16, 30)),
+        ]
 
     @pytest.mark.parametrize(
         "rows",
@@ -528,8 +545,13 @@ class TestSaturationStop:
             (0b010, 0b001, 0b100),  # vertex 2 likewise
             # Vertices 0 and 1 share the row {2}, but 2 points back only to
             # 1, so 0 cannot be reached from 1: twins' BFS results are
-            # interchangeable only when the rows are symmetric.
-            (0b100, 0b100, 0b010),
+            # interchangeable only when the rows are symmetric.  Row 2 ORed
+            # with {2} misses only 0, the first source with that row, so the
+            # first-level memo must count the source itself in its cover.
+            # Likewise 0, 1 and 2 share {3}, and row 3 is {1, 2}.  Every
+            # relabelling, the identity first, must still be disconnected.
+            *(relabelled((0b100, 0b100, 0b010), label) for label in permutations(range(3))),
+            *(relabelled((0b1000,) * 3 + (0b0110,), label) for label in permutations(range(4))),
         ],
     )
     def test_unreachable_vertex_is_disconnected(self, rows):
@@ -559,6 +581,120 @@ class TestSaturationStop:
     def test_one_vertex_with_a_loop_is_connected(self):
         g = DivisorGraph(n=0, vertices=(0,), adjacency=(0b1,))
         assert distance_summary(g) == DistanceSummary({}, (0,), 0)
+
+
+@st.composite
+def graphs_with_false_twins(draw, min_vertices, max_vertices):
+    """A connected graph of min_vertices to max_vertices vertices: a seeded
+    random tree on 2 to 24 vertices, with further edges and, if drawn, a
+    vertex adjacent to every other, then copies of its vertices until the
+    count is reached.  Each copy gets its original's neighbours at the time
+    and no edge to it, so every copy is a false twin of its original, and
+    relabelling keeps the universal vertex, if any, at 0 when drawn so, as
+    divisor 1 is, where every other row covers with row 0."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = draw(st.integers(min_value=2, max_value=min(24, max_vertices - 1)))
+    count = draw(st.integers(min_value=max(min_vertices, base + 1), max_value=max_vertices))
+    hub = draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    neighbours = [set() for _ in range(count)]
+    edge_set = {(rng.randrange(v), v) for v in range(1, base)}
+    edge_set |= {(u, v) for v in range(base) for u in range(v) if rng.random() < density}
+    edge_set |= {(0, v) for v in range(1, base)} if hub else set()
+    for u, v in edge_set:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    for copy in range(base, count):
+        for u in neighbours[rng.randrange(base)]:
+            edge_set.add((u, copy))
+            neighbours[u].add(copy)
+            neighbours[copy].add(u)
+    label = [0, *rng.sample(range(1, count), count - 1)]
+    if not (hub and draw(st.booleans())):
+        rng.shuffle(label)
+    return count, sorted(tuple(sorted((label[u], label[v]))) for u, v in edge_set)
+
+
+def assert_bfs_sums_match_naive(count, edge_list):
+    """The BFS sums against the naive reference on a graph that may hold
+    loops, which oracle_report's handshake check refuses: a loop counts in
+    its vertex's degree and is no pair."""
+    summary, degrees, zagreb2, gutman, schultz = divprime.oracle._bfs_sums(
+        graph_from_edges(count, edge_list)
+    )
+    pairs = summary.pairs_at_distance
+    expected = naive_indices(count, edge_list)
+    assert pairs.get(1, 0) == expected["edge_count"]
+    assert sum(degrees) == expected["degree_sum"]
+    assert sum(d * c for d, c in pairs.items()) == expected["wiener"]
+    assert (zagreb2, gutman, schultz) == (
+        2 * expected["zagreb2"],
+        2 * expected["gutman"],
+        expected["schultz"],
+    )
+    assert sum(map(mul, degrees, summary.eccentricities)) == expected["eccentric_connectivity"]
+    assert summary.diameter == expected["diameter"]
+
+
+class TestFirstLevelMemo:
+    """A source with a loop-free row R, neither empty nor of every other
+    vertex, takes its first level from a memo keyed by R, which holds the
+    level's degree sum when R ORed with the row of its lowest vertex is
+    every vertex; such a source ends at eccentricity 2 and reads only its
+    own row, so false twins after the first read one row each."""
+
+    @pytest.mark.parametrize(("lo", "hi"), [(3, 63), (64, 100)], ids=["walk", "planes"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graphs_with_false_twins(self, lo, hi, data):
+        count, edge_list = data.draw(graphs_with_false_twins(lo, hi))
+        assert lo <= count <= hi
+        assert_matches_naive(count, edge_list)
+
+    @pytest.mark.parametrize(
+        "n", [4, 9, 12, 72, 720, 2520, 5040, 7560, 2**6 * 3**2 * 5 * 7, 2**5 * 3**3 * 5**2 * 7]
+    )
+    def test_divisor_graphs_up_to_four_primes(self, n):
+        # D = 3 to 144, either side of the 64 vertices that plane sums need.
+        # Source 0, divisor 1, reads its own row; every other source reads
+        # its own, and the first of each of the 2^omega - 1 nonempty prime
+        # supports then reads row 0, which covers its row.
+        g = graph_of(n)
+        count = len(g.vertices)
+        read = rows_read(g)
+        assert read.count(0) == 2 ** len(factorize(n).factors)
+        assert [i for i in read if i] == list(range(1, count))
+        edge_list = [(g.vertices.index(u), g.vertices.index(v)) for u, v in edges(g)]
+        assert_matches_naive(count, edge_list)
+
+    def test_twins_whose_row_covers(self):
+        # In K4 less the edge 2-3, the false twins 2 and 3 share the row
+        # {0, 1}, which row 0 covers; 0 and 1 are adjacent to every other
+        # vertex, so they run the BFS, which ends at once.
+        count, edge_list = TWIN_GRAPHS["K4_minus_edge"]
+        assert rows_read(graph_from_edges(count, edge_list)) == [0, 1, 2, 0, 3]
+        assert_matches_naive(count, edge_list)
+
+    @pytest.mark.parametrize("looped", [1, 2, 3])
+    def test_a_twin_class_with_a_looped_member(self, looped):
+        # Vertex 0 is adjacent to every other vertex, and 1, 2 and 3 to 4,
+        # so 1, 2 and 3 have the neighbours {0, 4}, which row 0 covers.  The
+        # member with a loop runs the BFS, with the loop in its degree; of
+        # the other two, which share the row {0, 4}, the first fills the
+        # memo and the second takes it.  So row 0 is read three times: by
+        # source 0, by the BFS and by the memo's fill.
+        count = 5
+        edge_list = [*((0, v) for v in range(1, 5)), (1, 4), (2, 4), (3, 4), (looped, looped)]
+        assert_bfs_sums_match_naive(count, edge_list)
+        assert rows_read(graph_from_edges(count, edge_list)).count(0) == 3
+
+    def test_a_cover_that_misses_its_first_source(self):
+        # Directed rows: 0 and 1 share the row {2}, row 2 is {1, 3} and row
+        # 3 is {0}, so every vertex reaches every other.  {2} | {1, 3} misses
+        # only 0: from 0 the BFS saturates at level 1, while from 1 it needs
+        # levels {3} and {0}, so 1's eccentricity is 3, not the memo's 2.
+        g = DivisorGraph(n=0, vertices=(0, 1, 2, 3), adjacency=(0b0100, 0b0100, 0b1010, 0b0001))
+        assert distance_summary(g) == DistanceSummary({1: 3, 2: 3}, (2, 3, 2, 3), 3)
 
 
 def plane_builds(count, edge_list):
@@ -622,8 +758,8 @@ def shuffled_path(count):
 
 class TestDegreePlanes:
     """A graph of 64 or more vertices builds bit-sliced degree planes once,
-    before its first source, and takes every level's degree sum missing from
-    the level-sum dict from them; a smaller graph builds none."""
+    before its first source, and takes every level's degree sum from them; a
+    smaller graph builds none."""
 
     @given(graphs_with_a_large_level())
     @settings(max_examples=60, deadline=None)
@@ -694,8 +830,8 @@ class TestDegreePlanes:
         ids=["P63", "P64", "P65", "P130", "C63", "C64", "C65", "C130", "P97_shuffled"],
     )
     def test_long_paths_and_cycles(self, count, edge_list):
-        # Most levels are expanded without saturating, and each missed one
-        # is summed by a walk over its bits below 64 vertices and from the
+        # Most levels are expanded without saturating, and each of them is
+        # summed by a walk over its bits below 64 vertices and from the
         # planes from 64 on.  The last level from the middle of an odd path,
         # or from vertex 32 of C65 (64 and 0), holds vertices both below and
         # above the source, so its pair count is not all above or below.
@@ -823,7 +959,7 @@ class TestSharedRows:
 
     def test_bfs_memory_stays_near_the_shared_rows(self):
         # Squarefree with D = 4096, so no two divisors are twins and each
-        # source adds its own entry to the BFS's degree sums by level.  Keyed
+        # source adds its own entry to the first-level memo.  Keyed
         # by the shared row objects they peak near 0.41 MiB with the twelve
         # 4096-bit degree planes (6 KiB); a fresh D-bit int per source as
         # the key would peak near 1.6 MiB.

@@ -52,6 +52,8 @@ DEFAULT_CAP = 5000
 #: median of 20 rounds against 64, two runs: on 1500 graphs from
 #: [10^6, 2*10^6), 48 takes 1.011-1.017x and 96 1.001-1.005x; on all 1121
 #: exponent signatures with D 48..256, 48 takes 1.004-1.005x and 96 0.992x.
+#: Planes on every graph make oracle_report take 1.27x as long (IQR 1.15-1.42,
+#: 30 interleaved rounds) on the 2000 graphs from 1.5*10^6, 1941 with D < 64.
 _PLANE_MIN = 64
 
 
@@ -146,19 +148,16 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     twice the first two indices and the Schultz index itself.
 
     Each source starts at its own row, less any loop, as level 1, and the
-    levels are frontier masks, expanded until every vertex is seen; an
-    empty level before then means the graph is disconnected.  A level's
-    rows are ORed, from its first row on, only until they reach every
-    unseen vertex.  Its successor is then every unseen vertex and the last
-    level, so the BFS of that source ends there; on a divisor graph,
-    divisor 1 saturates level 1 at once.  Each earlier level's vertices
-    above the source are counted by popcount, so each unordered pair is
-    counted once, and level 1 gives the edge count; the last level's are
-    the vertices above the source less those counted before.  With D_l the
-    degree sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
-    W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
-    sum of deg(t) times the transmission of t, the Schultz index.  The last
-    level, never expanded, has the total degree less every earlier level.
+    levels are frontier masks.  A level that leaves some vertex unseen ORs
+    all of its rows into the next one, and the level that leaves none is
+    the last; an empty next level before then means the graph is
+    disconnected.  Each level's vertices above the source are counted by
+    popcount, so each unordered pair is counted once, and level 1 gives
+    the edge count.  With D_l the degree sum of level l, source s adds
+    deg(s)*D_1, deg(s)*W and W, where W = sum(l*D_l) sums deg(t)*d(s, t)
+    over every t; over all s it is the sum of deg(t) times the
+    transmission of t, the Schultz index.  The last level, never expanded,
+    has the total degree less every earlier level.
 
     A source s whose row R has no loop and 0 < deg(s) < D - 1 looks R up in
     a memo kept for the call and filled by R's first source: D_1 if R ORed
@@ -166,7 +165,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     On such a cover s adds its pairs, deg(s)*D_1 and
     W = D_1 + 2*(total - deg(s) - D_1) at eccentricity 2 without expanding
     a level, so false twins, which share R, pay one shift each.  Every other
-    source runs the BFS; on a divisor graph those are the divisors adjacent
+    source runs that BFS; on a divisor graph those are the divisors adjacent
     to every other one, 1 and, for n = p, p, and they expand no level.  A
     graph of fewer than ``_PLANE_MIN`` vertices sums a level's degrees on a
     walk over its bits; a larger one builds its degree planes (Biham 1997)
@@ -216,38 +215,27 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         if later & 1:
             frontier ^= bit  # drop a loop
         seen = frontier | bit
-        level = 1 if frontier else 0  # 0 only on a one-vertex graph
-        weighted = 0
-        rest = total - deg_s  # degree sum of the vertices not yet expanded
-        placed = (frontier >> above).bit_count()
-        unplaced = count - above - placed  # vertices above the source not yet seen
-        pairs[1] += placed
-        while seen != everything:
-            if not frontier:
-                raise ValueError("divisor prime graph is disconnected")
-            dsum = level_sum(frontier)
-            low = frontier & -frontier
-            reach, bits = adjacency[low.bit_length() - 1], frontier ^ low
-            while not (saturated := reach | seen == everything) and bits:
-                low = bits & -bits
-                reach |= adjacency[low.bit_length() - 1]
-                bits ^= low
+        level = weighted = 0
+        rest = total - deg_s  # degree sum of the vertices not yet summed
+        while frontier:
+            level += 1
+            pairs[level] += (frontier >> above).bit_count()
+            dsum = rest if seen == everything else level_sum(frontier)
             weighted += level * dsum
             rest -= dsum
             if level == 1:
                 zagreb2 += deg_s * dsum
-            level += 1
-            if saturated:  # the next level is every unseen vertex, and the last
-                pairs[level] += unplaced
+            if seen == everything:  # no vertex is left for a next level
                 break
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacency[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & ~seen
             seen |= frontier
-            placed = (frontier >> above).bit_count()
-            pairs[level] += placed
-            unplaced -= placed
-        weighted += level * rest  # the last level
-        if level == 1:
-            zagreb2 += deg_s * rest
+        if seen != everything:
+            raise ValueError("divisor prime graph is disconnected")
         gutman += deg_s * weighted
         schultz += weighted
         eccentricities.append(level)

@@ -474,11 +474,14 @@ class TestNaiveReference:
 
 
 # Vertex 0 is adjacent to every other vertex, and 1-2, 1-3, 3-4 are the
-# other edges.  From vertex 1 the first level is {0, 2, 3}: row 0 alone
-# reaches every vertex, so the BFS stops OR-ing there, while the level's
-# degree sum still counts 2 and 3, of degrees 2 and 3.  The last level,
-# {4, 5}, holds vertices of degrees 2 and 1.
+# other edges.  From vertex 1 the first level is {0, 2, 3}, of degrees 5, 2
+# and 3, and the second, {4, 5}, holds vertices of degrees 2 and 1.
 FAN_EDGES = [*((0, v) for v in range(1, 6)), (1, 2), (1, 3), (3, 4)]
+
+# The tree 0-1, 1-2, 1-3, 2-4.  No row covers with row 0 or row 1, and only
+# vertex 2's row {1, 4} covers with row 1, so every other source runs the
+# BFS and expands each level but its last.
+TREE_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4)]
 
 
 class RecordedRows(tuple):
@@ -505,8 +508,10 @@ def relabelled(rows, label):
 
 
 class TestSaturationStop:
-    """The BFS ORs a level's rows only until they reach every unseen
-    vertex; the level's degree sum still counts every vertex in it."""
+    """The BFS ORs every row of a level that leaves some vertex unseen and
+    never expands the level that leaves none, whose degree sum is the total
+    less every earlier level; an empty next level before then means the
+    graph is disconnected."""
 
     @pytest.mark.parametrize(
         ("count", "edge_list"),
@@ -516,24 +521,44 @@ class TestSaturationStop:
             (8, [(i, i + 1) for i in range(7)]),
             (9, [(i, (i + 1) % 9) for i in range(9)]),
             (6, FAN_EDGES),
+            (5, TREE_EDGES),
         ],
-        ids=["P8", "C9", "fan"],
+        ids=["P8", "C9", "fan", "tree"],
     )
     def test_matches_naive(self, count, edge_list):
         assert_matches_naive(count, edge_list)
 
     def test_a_saturated_level_reads_one_row(self):
-        # Each source reads its own row, then row 0, which saturates its
-        # first level; its last level is never expanded.
+        # Source 0 is adjacent to every other vertex, so its first level is
+        # its last and it reads only its own row.  Every other source reads
+        # its own row, then row 0 in the memo's cover test, which it passes,
+        # so no source expands a level.
         assert rows_read(graph_from_edges(6, FAN_EDGES)) == [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0]
         # On a divisor graph divisor 1 is adjacent to every other divisor, so
         # row 0 covers every row but its own.  Each source reads its own row,
-        # and row 0 follows only the first divisor of each of the 7 nonempty
-        # prime supports of 720 (2, 3, 5, 6, 10, 15 and 30, at indices 1, 2,
-        # 4, 5, 8, 10 and 15); their false twins take level 1 from the memo.
+        # and row 0 follows, in the memo's cover test, only the first
+        # divisor of each of the 7 nonempty prime supports of 720 (2, 3, 5,
+        # 6, 10, 15 and 30, at indices 1, 2, 4, 5, 8, 10 and 15); their
+        # false twins take level 1 from the memo without a read.
         assert rows_read(graph_of(720)) == [
             *(0, 1, 0, 2, 0, 3, 4, 0, 5, 0, 6, 7, 8, 0, 9, 10, 0),
             *(11, 12, 13, 14, 15, 0, *range(16, 30)),
+        ]
+
+    def test_each_expanded_level_reads_every_row(self):
+        # Each source reads its own row and then, in the memo's cover test,
+        # the row of its lowest neighbour; a source whose row does not
+        # cover then reads every row of each level that leaves a vertex
+        # unseen, lowest first, and no row of its last level.  From 0 the
+        # levels are {1}, {2, 3} and {4}: row 2 alone reaches 4, and row 3
+        # is still read.  From 1 they are {0, 2, 3} and {4}; 2 covers; from
+        # 3 they are {1}, {0, 2} and {4}; from 4, {2}, {1} and {0, 3}.
+        assert rows_read(graph_from_edges(5, TREE_EDGES)) == [
+            *(0, 1, 1, 2, 3),
+            *(1, 0, 0, 2, 3),
+            *(2, 1),
+            *(3, 1, 0, 2),
+            *(4, 2, 2, 1),
         ]
 
     @pytest.mark.parametrize(
@@ -691,8 +716,8 @@ class TestFirstLevelMemo:
     def test_a_cover_that_misses_its_first_source(self):
         # Directed rows: 0 and 1 share the row {2}, row 2 is {1, 3} and row
         # 3 is {0}, so every vertex reaches every other.  {2} | {1, 3} misses
-        # only 0: from 0 the BFS saturates at level 1, while from 1 it needs
-        # levels {3} and {0}, so 1's eccentricity is 3, not the memo's 2.
+        # only 0: from 0 the BFS ends at level 2, {1, 3}, while from 1 it
+        # needs levels {3} and {0}, so 1's eccentricity is 3, not the memo's 2.
         g = DivisorGraph(n=0, vertices=(0, 1, 2, 3), adjacency=(0b0100, 0b0100, 0b1010, 0b0001))
         assert distance_summary(g) == DistanceSummary({1: 3, 2: 3}, (2, 3, 2, 3), 3)
 
@@ -830,11 +855,12 @@ class TestDegreePlanes:
         ids=["P63", "P64", "P65", "P130", "C63", "C64", "C65", "C130", "P97_shuffled"],
     )
     def test_long_paths_and_cycles(self, count, edge_list):
-        # Most levels are expanded without saturating, and each of them is
-        # summed by a walk over its bits below 64 vertices and from the
-        # planes from 64 on.  The last level from the middle of an odd path,
-        # or from vertex 32 of C65 (64 and 0), holds vertices both below and
-        # above the source, so its pair count is not all above or below.
+        # Every level but the last is expanded, and each of them is summed
+        # by a walk over its bits below 64 vertices and from the planes from
+        # 64 on.  The last level from the middle of an odd path, or from
+        # vertex 32 of C65 (64 and 0), holds vertices both below and above
+        # the source, so its pair count by popcount above the source must
+        # leave out the one below.
         assert plane_builds(count, edge_list) == (1 if count >= 64 else 0)
 
 

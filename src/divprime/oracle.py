@@ -15,12 +15,12 @@ and ``build_graph`` refuses graphs above the cap.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, rshift
 from struct import pack
 
 from .arithmetic import Factorization, divisor_count, divisors, exact_half
@@ -40,20 +40,23 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, median of twelve runs, build_graph and then
-#: oracle_report: the squarefree 2*3*...*37, D = 4096, 5.8 ms and 33 ms;
-#: exponents (5,3,2,1^6), D = 4608, 3.4 ms and 11.6 ms; (3^6), D = 4096,
-#: 2.7 ms and 6.1 ms.  Squarefree graphs, whose rows are all distinct, so that
-#: every source sums its own first BFS level, are the slowest.
+#: oracle_report: the squarefree 2*3*...*37, D = 4096, 3.7 ms and 16.8 ms;
+#: exponents (5,3,2,1^6), D = 4608, 2.4 ms and 5.9 ms; (3^6), D = 4096,
+#: 2.1 ms and 3.0 ms.  Squarefree graphs, whose rows are all distinct, so that
+#: every divisor's first BFS level is summed on its own, are the slowest.
 DEFAULT_CAP = 5000
 
 #: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
-#: sums from degree planes rather than by walking their bits.  Measured on the
-#: same machine, per-graph minimum BFS time, thresholds interleaved per graph,
-#: median of 20 rounds against 64, two runs: on 1500 graphs from
-#: [10^6, 2*10^6), 48 takes 1.011-1.017x and 96 1.001-1.005x; on all 1121
-#: exponent signatures with D 48..256, 48 takes 1.004-1.005x and 96 0.992x.
-#: Planes on every graph make oracle_report take 1.27x as long (IQR 1.15-1.42,
-#: 30 interleaved rounds) on the 2000 graphs from 1.5*10^6, 1941 with D < 64.
+#: sums from degree planes rather than by walking their bits, and to serve its
+#: sources one distinct row at a time rather than one source at a time.
+#: Measured on the same machine, per-graph minimum BFS time, thresholds
+#: interleaved per graph, median of 20 rounds against 64, two runs: on 1500
+#: graphs from [10^6, 2*10^6), 48 takes 1.011-1.017x and 96 1.001-1.005x; on
+#: all 1121 exponent signatures with D 48..256, 48 takes 1.004-1.005x and 96
+#: 0.992x.  Planes on every graph make oracle_report take 1.27x as long (IQR
+#: 1.15-1.42, 30 interleaved rounds) on the 2000 graphs from 1.5*10^6, 1941
+#: with D < 64, and the per-row pass on every graph 1.12x as long (medians of
+#: 20 interleaved rounds), as it costs a few passes over the rows per graph.
 _PLANE_MIN = 64
 
 
@@ -159,41 +162,84 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     transmission of t, the Schultz index.  The last level, never expanded,
     has the total degree less every earlier level.
 
-    A source s whose row R has no loop and 0 < deg(s) < D - 1 looks R up in
-    a memo kept for the call and filled by R's first source: D_1 if R ORed
-    with the row of its lowest vertex is every vertex, s included, else -1.
-    On such a cover s adds its pairs, deg(s)*D_1 and
-    W = D_1 + 2*(total - deg(s) - D_1) at eccentricity 2 without expanding
-    a level, so false twins, which share R, pay one shift each.  Every other
-    source runs that BFS; on a divisor graph those are the divisors adjacent
-    to every other one, 1 and, for n = p, p, and they expand no level.  A
-    graph of fewer than ``_PLANE_MIN`` vertices sums a level's degrees on a
-    walk over its bits; a larger one builds its degree planes (Biham 1997)
-    with ``_bit_planes`` before the first source, plane b marking the
-    vertices whose degree has bit b set, and takes D_l as the sum of
-    popcount(level & plane_b) << b over b."""
+    A loop-free row R with 0 < deg(R) < D - 1 covers when R ORed with the
+    row of its lowest vertex is every vertex, its sources included.  Each
+    source of such a row reaches every vertex within two levels, so it
+    takes eccentricity 2 and adds deg(R)*D_1, deg(R)*W and W, where
+    W = D_1 + 2*(total - deg(R) - D_1), without expanding a level.  Every
+    other source runs the BFS; on a divisor graph those are the divisors
+    adjacent to every other one, 1 and, for n = p, p, and they expand no
+    level.
+
+    A graph of fewer than ``_PLANE_MIN`` vertices takes its sources in
+    order.  A loop-free source whose row R may cover looks R up in a memo
+    kept for the call and filled by R's first source, D_1 if R covers,
+    else -1, and on a cover counts its pairs above it, by popcount at
+    distance 1 and the rest at distance 2, so false twins, which share R,
+    pay one shift each.  It sums a level's degrees on a walk over its bits.
+
+    A larger graph groups its rows by value in a ``Counter`` and takes
+    each covering row's D_1 once, adding its sums times the number of
+    sources that share it.  Each source of every other row, and of every
+    row with a looped source, is found by ``tuple.index`` and runs the BFS.
+    The pairs at distance 1 come from one pass over every row shifted
+    right past its source, and those at distance 2 are the pairs not
+    otherwise counted, as the BFS raises on a source that misses a vertex.
+    It sums a level's degrees from degree planes (Biham 1997) built by
+    ``_bit_planes``, plane b marking the vertices whose degree has bit b
+    set: D_l is the sum of popcount(level & plane_b) << b over b."""
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
     degrees = list(map(int.bit_count, adjacency))
     total = sum(degrees)
     pairs = [0] * (count + 1)  # pair counts by distance; a level never passes D
-    eccentricities = []
+    eccentricities = [2] * count  # a covering row's sources keep this
     zagreb2 = gutman = schultz = 0
     memo = {}  # a loop-free row's D_1 if it covers, else -1
-    planes = _bit_planes(degrees) if count >= _PLANE_MIN else None
+    planes = None
+    sources = enumerate(degrees)
 
     def level_sum(mask):
-        if planes is not None:
-            return sum((mask & plane).bit_count() << b for b, plane in enumerate(planes))
         dsum = 0
+        if planes is not None:
+            for plane in planes:  # the top plane first, doubling the sum so far
+                dsum += dsum + (mask & plane).bit_count()
+            return dsum
         while mask:
             low = mask & -mask
             dsum += degrees[low.bit_length() - 1]
             mask ^= low
         return dsum
 
-    for source, deg_s in enumerate(degrees):
+    if count >= _PLANE_MIN:
+        planes = _bit_planes(degrees)[::-1]
+        # A row is -1 in the memo when its sources run the BFS: from the
+        # start if one of them has a loop, else once it fails to cover.
+        memo = dict.fromkeys(
+            compress(adjacency, map(and_, map(rshift, adjacency, range(count)), repeat(1))), -1
+        )
+        sources = []
+        for row, size in Counter(adjacency).items():
+            deg_r = row.bit_count()
+            if (
+                row not in memo
+                and 0 < deg_r < count - 1
+                and row | adjacency[(row & -row).bit_length() - 1] == everything
+            ):
+                dsum = level_sum(row)
+                zagreb2 += size * deg_r * dsum
+                weighted = dsum + 2 * (total - deg_r - dsum)
+                gutman += size * deg_r * weighted
+                schultz += size * weighted
+                continue
+            memo[row] = -1
+            source = -1
+            for _ in range(size):
+                source = adjacency.index(row, source + 1)
+                sources.append((source, deg_r))
+
+    for source, deg_s in sources:
         frontier = adjacency[source]
         later = frontier >> source  # bit 0 is the loop; the rest are the vertices above
         if not later & 1 and 0 < deg_s < count - 1:
@@ -208,7 +254,6 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 weighted = dsum + 2 * (total - deg_s - dsum)
                 gutman += deg_s * weighted
                 schultz += weighted
-                eccentricities.append(2)
                 continue
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
@@ -238,7 +283,10 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
             raise ValueError("divisor prime graph is disconnected")
         gutman += deg_s * weighted
         schultz += weighted
-        eccentricities.append(level)
+        eccentricities[source] = level
+    if count >= _PLANE_MIN:  # level 1 of every source, the BFS sources' again
+        pairs[1] = sum(map(int.bit_count, map(rshift, adjacency, range(1, count + 1))))
+        pairs[2] += count * (count - 1) // 2 - sum(pairs)
     histogram = {d: count for d, count in enumerate(pairs) if count}
     summary = DistanceSummary(histogram, tuple(eccentricities), max(eccentricities, default=0))
     return summary, degrees, zagreb2, gutman, schultz

@@ -10,7 +10,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import divprime.oracle
@@ -323,6 +323,8 @@ class TestNetworkxReference:
         assert_matches_networkx(nx, graph_from_edges(count, edge_list), nx.path_graph(count))
 
     @given(st.integers(min_value=1, max_value=2000))
+    @example(n=7560)  # D = 64, the fewest vertices of the per-row pass
+    @example(n=27720)  # D = 96
     @settings(max_examples=60, deadline=None)
     def test_divisor_graphs(self, n):
         nx = pytest.importorskip("networkx")
@@ -680,15 +682,22 @@ class TestFirstLevelMemo:
         "n", [4, 9, 12, 72, 720, 2520, 5040, 7560, 2**6 * 3**2 * 5 * 7, 2**5 * 3**3 * 5**2 * 7]
     )
     def test_divisor_graphs_up_to_four_primes(self, n):
-        # D = 3 to 144, either side of the 64 vertices that plane sums need.
-        # Source 0, divisor 1, reads its own row; every other source reads
-        # its own, and the first of each of the 2^omega - 1 nonempty prime
-        # supports then reads row 0, which covers its row.
+        # D = 3 to 144, either side of the 64 vertices that plane sums and
+        # the per-row pass need.  Below 64, source 0, divisor 1, reads its
+        # own row; every other source reads its own, and the first of each
+        # of the 2^omega - 1 nonempty prime supports then reads row 0, which
+        # covers its row.  From 64 up, the row of each nonempty support reads
+        # row 0 once in its cover test, and then source 0 reads its own row
+        # for the only BFS.
         g = graph_of(n)
         count = len(g.vertices)
         read = rows_read(g)
-        assert read.count(0) == 2 ** len(factorize(n).factors)
-        assert [i for i in read if i] == list(range(1, count))
+        supports = 2 ** len(factorize(n).factors)
+        if count < 64:
+            assert read.count(0) == supports
+            assert [i for i in read if i] == list(range(1, count))
+        else:
+            assert read == [0] * supports
         edge_list = [(g.vertices.index(u), g.vertices.index(v)) for u, v in edges(g)]
         assert_matches_naive(count, edge_list)
 
@@ -720,6 +729,138 @@ class TestFirstLevelMemo:
         # needs levels {3} and {0}, so 1's eccentricity is 3, not the memo's 2.
         g = DivisorGraph(n=0, vertices=(0, 1, 2, 3), adjacency=(0b0100, 0b0100, 0b1010, 0b0001))
         assert distance_summary(g) == DistanceSummary({1: 3, 2: 3}, (2, 3, 2, 3), 3)
+
+
+def directed_summary(rows):
+    """The distance summary of possibly asymmetric rows, from one queue BFS
+    per vertex over sets of successors, a loop being no successor.  Shares
+    no code with the oracle."""
+    count = len(rows)
+    successors = [{w for w in range(count) if row >> w & 1} - {v} for v, row in enumerate(rows)]
+    pairs, eccentricities = Counter(), []
+    for source in range(count):
+        reached = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in successors[u] - reached.keys():
+                reached[w] = reached[u] + 1
+                queue.append(w)
+        assert len(reached) == count, "the reference takes strongly connected rows only"
+        pairs.update(reached[t] for t in range(source + 1, count))
+        eccentricities.append(max(reached.values()))
+    return DistanceSummary(dict(pairs), tuple(eccentricities), max(eccentricities, default=0))
+
+
+def bfs_sums_or_message(g):
+    try:
+        return divprime.oracle._bfs_sums(g)
+    except ValueError as err:
+        return str(err)
+
+
+def per_source_sums(g):
+    """``_bfs_sums`` of g, or its ValueError's message, on the per-source
+    path that graphs below ``_PLANE_MIN`` vertices take."""
+    with mock.patch.object(divprime.oracle, "_PLANE_MIN", len(g.adjacency) + 1):
+        return bfs_sums_or_message(g)
+
+
+@st.composite
+def rows_with_loops_and_dropped_arcs(draw):
+    """The rows of a graph from ``graphs_with_false_twins`` on 64 to 100
+    vertices, with loops added at up to three drawn vertices and up to three
+    drawn arcs u -> v dropped, so that some rows are asymmetric and some
+    graphs no longer strongly connected."""
+    count, edge_list = draw(graphs_with_false_twins(64, 100))
+    rows = list(graph_from_edges(count, edge_list).adjacency)
+    vertex = st.integers(min_value=0, max_value=count - 1)
+    for v in draw(st.lists(vertex, max_size=3)):
+        rows[v] |= 1 << v
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        rows[u] &= ~(1 << v)
+    return DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=tuple(rows))
+
+
+class TestPerRowPass:
+    """A graph of 64 or more vertices sums each covering row's first level
+    once for all of its sources, runs the BFS from the sources of every
+    other row, and counts as distance 2 every pair that neither level 1 nor
+    the BFS counted.  It must agree with references that share no code with
+    the oracle and with the per-source path of smaller graphs."""
+
+    @given(rows_with_loops_and_dropped_arcs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_source_path(self, g):
+        assert bfs_sums_or_message(g) == per_source_sums(g)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_bfs_sources_at_eccentricity_three_beside_served_rows(self, seed):
+        # Vertex 0 is adjacent to the 67 twins 2..68 and to the pendant 69,
+        # and 1 to the twins alone.  The twins' row {0, 1} and row 0 cover,
+        # so 68 sources take eccentricity 2 without a BFS, while 1 and 69,
+        # at distance 3, run it: the pairs at distance 2 that the served
+        # sources do not count one by one must come out of the complement.
+        # Relabelled at random, other rows cover or not.
+        count = 70
+        edge_list = [*((0, v) for v in range(2, count)), *((1, v) for v in range(2, count - 1))]
+        if seed is not None:
+            label = random.Random(seed).sample(range(count), count)
+            edge_list = [(label[u], label[v]) for u, v in edge_list]
+        assert_matches_naive(count, edge_list)
+        assert distance_summary(graph_from_edges(count, edge_list)).diameter == 3
+
+    @pytest.mark.parametrize("looped", [1, 2, 3])
+    def test_a_twin_class_with_a_looped_member(self, looped):
+        # Vertex 0 is adjacent to every other vertex, and 1 to 68 to 69, so
+        # they have the neighbours {0, 69}, which row 0 covers.  The member
+        # with a loop has a row of its own and runs the BFS, with the loop
+        # in its degree; the other 67 share the row {0, 69}, which sums its
+        # first level once.  So row 0 is read three times: by that row's
+        # cover test, by source 0 and by the BFS.
+        count = 70
+        edge_list = [*((0, v) for v in range(1, count)), *((v, 69) for v in range(1, 69))]
+        edge_list.append((looped, looped))
+        assert_bfs_sums_match_naive(count, edge_list)
+        assert rows_read(graph_from_edges(count, edge_list)).count(0) == 3
+
+    def test_a_looped_source_sharing_its_row_with_loop_free_twins(self):
+        # Directed rows: 0 points to every other vertex and every other
+        # vertex to {0, 1}, which row 0 covers; 1 is in its own row, a loop,
+        # so the whole row runs the BFS rather than the twins of 1 serving
+        # themselves from a cover that 1 would be counted in.
+        count = 70
+        rows = ((1 << count) - 2, *[0b11] * (count - 1))
+        g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=rows)
+        assert distance_summary(g) == directed_summary(rows)
+        assert divprime.oracle._bfs_sums(g) == per_source_sums(g)
+
+    def test_a_cover_that_misses_its_first_source(self):
+        # Directed rows: 0 and 1 share the row {2}, row 2 is every vertex but
+        # 0 and 2, row 3 every vertex but 3, and the 66 twins 4..69 share
+        # the row {3}.  {2} ORed with row 2 misses only 0, so 0 and 1 run the
+        # BFS, and from 1 the vertex 0 lies at distance 3, beyond the cover's
+        # 2; the twins' row {3} covers with row 3.
+        count = 70
+        everything = (1 << count) - 1
+        rows = (0b100, 0b100, everything ^ 0b101, everything ^ 0b1000, *[0b1000] * (count - 4))
+        g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=rows)
+        summary = distance_summary(g)
+        assert summary == directed_summary(rows)
+        assert summary.eccentricities[:4] == (2, 3, 2, 1)
+        assert divprime.oracle._bfs_sums(g) == per_source_sums(g)
+
+    def test_a_sink_beside_a_served_twin_class_is_disconnected(self):
+        # Directed rows: 0 points to every other vertex, 1..68 share the row
+        # {0}, which covers, and 69 points nowhere, so it reaches no vertex
+        # however many the served twins reach.
+        count = 70
+        rows = ((1 << count) - 2, *[0b1] * (count - 2), 0)
+        g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=rows)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            distance_summary(g)
+        with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
+            oracle_report(g)
 
 
 def plane_builds(count, edge_list):
@@ -984,11 +1125,11 @@ class TestSharedRows:
         assert peak < 0.6 * 2**20
 
     def test_bfs_memory_stays_near_the_shared_rows(self):
-        # Squarefree with D = 4096, so no two divisors are twins and each
-        # source adds its own entry to the first-level memo.  Keyed
-        # by the shared row objects they peak near 0.41 MiB with the twelve
-        # 4096-bit degree planes (6 KiB); a fresh D-bit int per source as
-        # the key would peak near 1.6 MiB.
+        # Squarefree with D = 4096, so no two divisors are twins and the
+        # Counter that groups the rows by value has an entry per source.
+        # Keyed by the shared row objects, which it holds and never copies,
+        # it peaks near 0.32 MiB with the twelve 4096-bit degree planes
+        # (6 KiB).
         g = graph_of(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37)
         tracemalloc.start()
         try:

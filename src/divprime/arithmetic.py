@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import compress
+from itertools import compress, groupby, starmap
 from math import gcd, isqrt, prod
 
 __all__ = [
@@ -91,6 +91,14 @@ def _primes_below(bound: int) -> tuple[int, ...]:
 
 
 @cache
+def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The primes below _TRIAL_BOUND by bit length, each length as its least prime
+    squared, to stop at, its product, to pass over by one gcd, and its primes."""
+    groups = (tuple(g) for _, g in groupby(_primes_below(_TRIAL_BOUND), int.bit_length))
+    return tuple((g[0] * g[0], prod(g), g) for g in groups)
+
+
+@cache
 def _small_prime_set() -> frozenset[int]:
     return frozenset(_primes_below(_TRIAL_BOUND))
 
@@ -145,7 +153,7 @@ class Factorization(namedtuple("Factorization", "n factors")):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             previous = p
-        if prod(p**e for p, e in self.factors) != self.n:
+        if prod(starmap(pow, self.factors)) != self.n:
             raise ValueError(f"factors do not multiply to {self.n}")
         return self
 
@@ -265,12 +273,14 @@ def factorize(n: int) -> Factorization:
     """
     remaining = n
     exponents: dict[int, int] = {}
-    for p in _primes_below(_TRIAL_BOUND):
-        if p * p > remaining:
+    for square, block, primes in _trial_blocks():
+        if square > remaining:
             break
-        while remaining % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            remaining //= p
+        if gcd(block, remaining) > 1:
+            for p in primes:
+                while remaining % p == 0:
+                    exponents[p] = exponents.get(p, 0) + 1
+                    remaining //= p
     # What trial division leaves is 1, a prime, or free of primes below
     # _TRIAL_BOUND, so any cofactor below the bound squared is prime.
     stack = [remaining] if remaining > 1 else []
@@ -304,7 +314,6 @@ def divisors(f: Factorization) -> list[int]:
     """All positive divisors of f.n in strictly ascending order."""
     divs = [1]
     for p, e in f.factors:
-        powers = [p**i for i in range(1, e + 1)]
-        divs += [d * q for d in divs for q in powers]
+        divs += [d * p**i for i in range(1, e + 1) for d in divs]
     divs.sort()
     return divs

@@ -55,6 +55,7 @@ _RENAMED = {"divisor_count": "D", "edge_count": "edges"}
 CSV_COLUMNS = (*(_RENAMED.get(field, field) for field in _REPORT_FIELDS), "status")
 _column_values = attrgetter(*_REPORT_FIELDS)  # a report's values in column order
 _DIAMETER = CSV_COLUMNS.index("diameter")
+_HARARY = CSV_COLUMNS.index("harary")
 
 
 def _positive_int(text: str) -> int:
@@ -137,9 +138,11 @@ def _report_json_dict(report: IndexReport) -> dict:
     return data
 
 
-def _csv_row(report: IndexReport, status: str) -> list[str | None]:
-    # csv.writer writes None as an empty field.
-    return [*map(_cell, _column_values(report)), status]
+def _csv_row(report: IndexReport, status: str) -> list[object]:
+    # csv.writer writes ints and None as _cell does; the Harary index needs "p/q".
+    row = [*_column_values(report), status]
+    row[_HARARY] = _cell(report.harary)
+    return row
 
 
 def _render(
@@ -227,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for result in verify_results(args.lo, args.hi, cap=args.cap):
             row = _csv_row(result.closed_form, result.status)
             if result.oracle is not None:
-                row[_DIAMETER] = str(result.oracle.diameter)
+                row[_DIAMETER] = result.oracle.diameter
             writer.writerow(row)
             mismatches += result.status == MISMATCH
         return 1 if mismatches else 0

@@ -65,26 +65,14 @@ def cf_report(f: Factorization) -> IndexReport:
     # Divisor 1 has eccentricity 1 and degree D - 1; from D = 3 on every
     # other vertex has eccentricity 2.  At D <= 2 the diameter is at most 1,
     # so the index is just the degree sum (0 for n = 1, 2 for prime n).
-    if count <= 2:
-        eccentric_connectivity = degree_sum
-    else:
-        eccentric_connectivity = 2 * degree_sum - (count - 1)
+    eccentric_connectivity = degree_sum if count <= 2 else 2 * degree_sum - (count - 1)
+    # Positional, in field order, as keywords cost about 2 us per report.
     return IndexReport(
-        n=f.n,
-        divisor_count=count,
-        edge_count=edge_count,
-        degree_sum=degree_sum,
-        wiener=edge_count + 2 * non_edges,
-        harary=Fraction(2 * edge_count + non_edges, 2),
-        # (d + d^2) / 2 is 1 on an edge and 3 at distance 2.
-        hyper_wiener=edge_count + 3 * non_edges,
-        zagreb1=zagreb1,
-        zagreb2=zagreb2,
-        gutman=gutman,
-        schultz=schultz,
-        eccentric_connectivity=eccentric_connectivity,
-        source=CLOSED_FORM,
-        diameter=None,
+        f.n, count, edge_count, degree_sum,
+        edge_count + 2 * non_edges,  # wiener
+        Fraction(2 * edge_count + non_edges, 2),  # harary
+        edge_count + 3 * non_edges,  # hyper_wiener: (d + d^2) / 2 is 1 on an edge, 3 at distance 2
+        zagreb1, zagreb2, gutman, schultz, eccentric_connectivity, CLOSED_FORM, None,
     )
 
 

@@ -60,6 +60,10 @@ DEFAULT_CAP = 5000
 _PLANE_MIN = 64
 
 
+#: For ``_bit_planes``: table k maps a byte to b"1" if its bit k is set, else b"0".
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
 class CapExceededError(ValueError):
     """Divisor count too large for explicit enumeration."""
 
@@ -96,20 +100,20 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     if cap is not None and (count := divisor_count(f)) > cap:
         raise CapExceededError(f.n, count, cap)
     verts = divisors(f)
-    # A divisor's support id (sid) has bit j set when the j-th prime divides
-    # it, looked up by the divisor's gcd with the radical in C-level maps.
-    # Plane j of the sids marks the divisors the j-th prime divides; ANDing
-    # its complement into every row so far appends the rows of the sids with
-    # bit j set, so row_of[sid] is the one row of that support.
-    sid_of = {1: 0}
-    for j, (p, _) in enumerate(f.factors):
-        sid_of |= {s * p: sid | 1 << j for s, sid in sid_of.items()}
-    sids = list(map(sid_of.__getitem__, map(gcd, verts, repeat(max(sid_of)))))
+    # A divisor's support id (sid) has bit j set when the j-th prime divides it,
+    # and indexes its gcd with the radical among the squarefree divisors, made by
+    # doubling.  ANDing the complement of plane j of the sids into each row so far
+    # appends the rows of the sids with bit j set: row_of[sid] is that support's.
+    squarefree = [1]
+    for p, _ in f.factors:
+        squarefree += [s * p for s in squarefree]
+    sid_of = dict(zip(squarefree, range(len(squarefree))))
+    sids = list(map(sid_of.__getitem__, map(gcd, verts, repeat(squarefree[-1]))))
     everything = (1 << len(verts)) - 1
     row_of = [everything]
     for divided in _bit_planes(sids):
-        free = everything ^ divided
-        row_of += [row & free for row in row_of]
+        row_of += [*map((everything ^ divided).__and__, row_of)]
+    # A list first: a tuple of a map grows by resizing, +1.25 MiB peak RSS.
     rows = list(map(row_of.__getitem__, sids))
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
     return DivisorGraph(f.n, tuple(verts), tuple(rows))
@@ -137,12 +141,10 @@ def _bit_planes(values: list[int]) -> list[int]:
     top = max(values)
     width = 1 if top < 256 else 8
     packed = bytes(values) if width == 1 else pack(f"<{len(values)}Q", *values)
-    planes = []
-    for b in range(top.bit_length()):
-        octets = packed[b // 8 - width :: -width]  # byte b // 8 of every value
-        run = 1 << b % 8  # the table: runs of b"0" and b"1", each this long
-        planes.append(int(octets.translate((b"0" * run + b"1" * run) * (128 // run)), 2))
-    return planes
+    return [
+        int(packed[b // 8 - width :: -width].translate(_BIT_DIGITS[b % 8]), 2)
+        for b in range(top.bit_length())
+    ]
 
 
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
@@ -287,8 +289,9 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     if count >= _PLANE_MIN:  # level 1 of every source, the BFS sources' again
         pairs[1] = sum(map(int.bit_count, map(rshift, adjacency, range(1, count + 1))))
         pairs[2] += count * (count - 1) // 2 - sum(pairs)
-    histogram = {d: count for d, count in enumerate(pairs) if count}
-    summary = DistanceSummary(histogram, tuple(eccentricities), max(eccentricities, default=0))
+    diameter = max(eccentricities, default=0)
+    histogram = {d: count for d, count in enumerate(pairs[: diameter + 1]) if count}
+    summary = DistanceSummary(histogram, tuple(eccentricities), diameter)
     return summary, degrees, zagreb2, gutman, schultz
 
 
@@ -314,23 +317,18 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     # Before halving: an adjacency the handshake rejects gets its ValueError.
     _check_handshake(degree_sum, edge_count)
     common = lcm(*pairs)
-    # Positional, in field order, as keywords cost about 2 us per report: n,
-    # divisor_count, edge_count, degree_sum, wiener, harary, hyper_wiener,
-    # zagreb1, zagreb2, gutman, schultz, eccentric_connectivity, source,
-    # diameter.
+    wiener = harary = hyper_wiener = 0  # the last two before their division
+    for d, c in pairs.items():
+        wiener += d * c
+        harary += c * (common // d)
+        hyper_wiener += (d + d * d) * c
+    # Positional, in field order, as keywords cost about 2 us per report.
     return IndexReport(
-        g.n,
-        len(g.vertices),
-        edge_count,
-        degree_sum,
-        sum(d * c for d, c in pairs.items()),
-        Fraction(sum(c * (common // d) for d, c in pairs.items()), common),
-        exact_half(sum((d + d * d) * c for d, c in pairs.items())),
-        sum(map(mul, degrees, degrees)),
-        exact_half(zagreb2),
-        exact_half(gutman),
-        schultz,
-        sum(map(mul, degrees, summary.eccentricities)),
-        ORACLE,
-        summary.diameter,
+        g.n, len(g.vertices), edge_count, degree_sum, wiener,
+        Fraction(harary, common),
+        exact_half(hyper_wiener),
+        sum(map(mul, degrees, degrees)),  # zagreb1
+        exact_half(zagreb2), exact_half(gutman), schultz,
+        sum(map(mul, degrees, summary.eccentricities)),  # eccentric_connectivity
+        ORACLE, summary.diameter,
     )

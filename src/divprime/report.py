@@ -23,10 +23,11 @@ COMPARED_FIELDS = (
     "schultz",
     "eccentric_connectivity",
 )
-_compared = attrgetter(*COMPARED_FIELDS)  # a report's ten compared values, as one tuple
-# The same with the Harary index as its numerator: a Fraction's denominator is
-# positive, so the numerator has its sign and orders as an int, not in Python.
-_signs = attrgetter(*(f"{name}.numerator" if name == "harary" else name for name in COMPARED_FIELDS))
+# A report's ten compared values as ints, the Harary index as its numerator (its
+# sign) and then its denominator, equal exactly when the values are (lowest terms).
+_exact = attrgetter(
+    *(f"{f}.numerator" if f == "harary" else f for f in COMPARED_FIELDS), "harary.denominator"
+)
 
 
 class IndexReport(
@@ -57,7 +58,7 @@ class IndexReport(
         if bound % self.harary.denominator:
             raise ValueError(f"harary denominator must divide {bound}: {self.harary}")
         _check_handshake(self.degree_sum, self.edge_count)
-        if min(signs := _signs(self)) < 0:
+        if min(signs := _exact(self)) < 0:  # the denominator is positive
             name = next(name for name, value in zip(COMPARED_FIELDS, signs) if value < 0)
             raise ValueError(f"{name} must be nonnegative")
         if self.source not in (CLOSED_FORM, ORACLE):

@@ -21,7 +21,7 @@ from time import perf_counter
 from .arithmetic import Factorization, factorize
 from .formulas import cf_report
 from .oracle import DEFAULT_CAP, CapExceededError, build_graph, oracle_report
-from .report import COMPARED_FIELDS, _compared
+from .report import COMPARED_FIELDS, _exact
 
 __all__ = [
     "MISMATCH",
@@ -103,9 +103,10 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
     else:
         oracle = oracle_report(graph)
         elapsed_oracle = perf_counter() - start
-        expected, found = _compared(closed), _compared(oracle)
-        if expected != found:  # one tuple compare; the names only on a mismatch
-            mismatches = tuple(k for k, a, b in zip(COMPARED_FIELDS, expected, found) if a != b)
+        if _exact(closed) != _exact(oracle):  # one tuple compare; the names only on a mismatch
+            mismatches = tuple(
+                k for k in COMPARED_FIELDS if getattr(closed, k) != getattr(oracle, k)
+            )
         status = MISMATCH if mismatches else VERIFIED
     return VerificationResult(
         f.n, status, closed, oracle, reason, elapsed_closed, elapsed_oracle, mismatches

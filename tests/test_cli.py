@@ -11,8 +11,11 @@ import pytest
 
 import divprime
 from divprime.cli import CSV_COLUMNS, main
-from divprime.oracle import build_graph, edges
+from divprime.formulas import cf_report
+from divprime.oracle import build_graph, edges, oracle_report
 from divprime.arithmetic import factorize
+from divprime.report import IndexReport
+from divprime.verify import verify_n
 
 
 def run(capsys, *argv):
@@ -202,6 +205,40 @@ class TestVerify:
         assert row[-1] == "oracle_skipped"
         assert row[CSV_COLUMNS.index("diameter")] == ""
         assert row[CSV_COLUMNS.index("D")] == "10"
+
+
+class TestCsvRow:
+    """``_csv_row`` hands ints and None to ``csv.writer`` as they are and
+    formats only the Harary index; written out, each row must read as the
+    row of per-field ``_cell`` strings does."""
+
+    CASES = {
+        # n = 12: Harary 11/1, no diameter
+        "closed_form": lambda: (cf_report(factorize(12)), "closed_form"),
+        # n = 4: Harary 5/2, diameter 2
+        "oracle": lambda: (oracle_report(build_graph(factorize(4))), "oracle"),
+        # D = 240 above the cap: the closed form's row, Harary 15251/1
+        "oracle_skipped": lambda: (verify_n(720720, cap=100).closed_form, "oracle_skipped"),
+    }
+    HARARY = {"closed_form": "11/1", "oracle": "5/2", "oracle_skipped": "15251/1"}
+
+    @staticmethod
+    def written(row):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(row)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_per_field_cells(self, case):
+        report, status = self.CASES[case]()
+        row = divprime.cli._csv_row(report, status)
+        fields = [*(getattr(report, f) for f in IndexReport._fields if f != "source"), status]
+        assert self.written(row) == self.written([*map(divprime.cli._cell, fields)])
+        cells = next(csv.reader([self.written(row)]))
+        assert cells[: CSV_COLUMNS.index("harary")] == [str(v) for v in report[:5]]
+        assert cells[CSV_COLUMNS.index("harary")] == self.HARARY[case]
+        assert cells[CSV_COLUMNS.index("diameter")] == ("2" if case == "oracle" else "")
+        assert cells[-1] == status
 
 
 class TestMismatch:

@@ -62,7 +62,11 @@ class TestBuildGraph:
         assert (err.value.n, err.value.divisor_count, err.value.cap) == (n, count, count - 1)
         assert str(err.value) == f"n = {n} has {count} divisors, above the configured cap of {count - 1}"
         assert enumerated == []  # refused before any divisor was enumerated
-        assert len(build_graph(factorize(n), cap=count).vertices) == count
+        f = factorize(n)
+        assert len(build_graph(f, cap=count).vertices) == count
+        # Exactly one call, through the module name that callers and the
+        # benchmark's tracer rebind.
+        assert enumerated == [f]
 
     @given(st.integers(min_value=2, max_value=4000))
     @settings(max_examples=60)

@@ -46,17 +46,14 @@ __all__ = [
 #: every divisor's first BFS level is summed on its own, are the slowest.
 DEFAULT_CAP = 5000
 
-#: Fewest vertices a graph needs for ``_bfs_sums`` to take its levels' degree
-#: sums from degree planes rather than by walking their bits, and to serve its
-#: sources one distinct row at a time rather than one source at a time.
-#: Measured on the same machine, per-graph minimum BFS time, thresholds
-#: interleaved per graph, median of 20 rounds against 64, two runs: on 1500
-#: graphs from [10^6, 2*10^6), 48 takes 1.011-1.017x and 96 1.001-1.005x; on
-#: all 1121 exponent signatures with D 48..256, 48 takes 1.004-1.005x and 96
-#: 0.992x.  Planes on every graph make oracle_report take 1.27x as long (IQR
-#: 1.15-1.42, 30 interleaved rounds) on the 2000 graphs from 1.5*10^6, 1941
-#: with D < 64, and the per-row pass on every graph 1.12x as long (medians of
-#: 20 interleaved rounds), as it costs a few passes over the rows per graph.
+#: Fewest vertices a graph needs for ``_bfs_sums`` to take its per-row pass,
+#: which serves each covering row once and sums its first level from degree
+#: planes; a smaller graph serves its sources one at a time and walks the
+#: bits of every level it sums.  Measured on the same machine, oracle_report
+#: on the 2000 graphs from 1.5*10^6, 1941 with D < 64, median of 30
+#: interleaved rounds: the per-row pass on every graph takes 1.15x as long
+#: (IQR 1.09-1.20), as it costs a few passes over the rows per graph, and
+#: planes on every graph, for the per-source sums too, 1.04x (IQR 1.02-1.08).
 _PLANE_MIN = 64
 
 
@@ -147,6 +144,16 @@ def _bit_planes(values: list[int]) -> list[int]:
     ]
 
 
+def _walk_sum(mask: int, degrees: list[int]) -> int:
+    """The sum of degrees[i] over the set bits i of mask, one bit at a time."""
+    dsum = 0
+    while mask:
+        low = mask & -mask
+        dsum += degrees[low.bit_length() - 1]
+        mask ^= low
+    return dsum
+
+
 def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
     """One BFS from every vertex: the distance summary, the degrees, and the
     second Zagreb, Gutman and Schultz sums over ordered pairs, which are
@@ -157,12 +164,12 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     all of its rows into the next one, and the level that leaves none is
     the last; an empty next level before then means the graph is
     disconnected.  Each level's vertices above the source are counted by
-    popcount, so each unordered pair is counted once, and level 1 gives
-    the edge count.  With D_l the degree sum of level l, source s adds
-    deg(s)*D_1, deg(s)*W and W, where W = sum(l*D_l) sums deg(t)*d(s, t)
-    over every t; over all s it is the sum of deg(t) times the
-    transmission of t, the Schultz index.  The last level, never expanded,
-    has the total degree less every earlier level.
+    popcount, so each unordered pair is counted once.  With D_l the degree
+    sum of level l, source s adds deg(s)*D_1, deg(s)*W and W, where
+    W = sum(l*D_l) sums deg(t)*d(s, t) over every t; over all s it is the
+    sum of deg(t) times the transmission of t, the Schultz index.  The last
+    level, never expanded, has the total degree less every earlier level,
+    and every other level's degrees are summed by ``_walk_sum``.
 
     A loop-free row R with 0 < deg(R) < D - 1 covers when R ORed with the
     row of its lowest vertex is every vertex, its sources included.  Each
@@ -170,72 +177,58 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     takes eccentricity 2 and adds deg(R)*D_1, deg(R)*W and W, where
     W = D_1 + 2*(total - deg(R) - D_1), without expanding a level.  Every
     other source runs the BFS; on a divisor graph those are the divisors
-    adjacent to every other one, 1 and, for n = p, p, and they expand no
-    level.
+    adjacent to every other one, 1 and, for n = p, p, whose first level
+    is their last and is never summed.  The pairs at distance 1 come from
+    one pass over every row shifted right past its source, and those at
+    distance 2 are the pairs not otherwise counted, as the BFS raises on a
+    source that misses a vertex.
 
-    A graph of fewer than ``_PLANE_MIN`` vertices takes its sources in
-    order.  A loop-free source whose row R may cover looks R up in a memo
-    kept for the call and filled by R's first source, D_1 if R covers,
-    else -1, and on a cover counts its pairs above it, by popcount at
-    distance 1 and the rest at distance 2, so false twins, which share R,
-    pay one shift each.  It sums a level's degrees on a walk over its bits.
-
-    A larger graph groups its rows by value in a ``Counter`` and takes
-    each covering row's D_1 once, adding its sums times the number of
-    sources that share it.  Each source of every other row, and of every
-    row with a looped source, is found by ``tuple.index`` and runs the BFS.
-    The pairs at distance 1 come from one pass over every row shifted
-    right past its source, and those at distance 2 are the pairs not
-    otherwise counted, as the BFS raises on a source that misses a vertex.
-    It sums a level's degrees from degree planes (Biham 1997) built by
+    A graph of ``_PLANE_MIN`` or more vertices first takes the per-row
+    pass: it groups its rows by value in a ``Counter``, sums each covering
+    row's D_1 once, from degree planes (Biham 1997) built by
     ``_bit_planes``, plane b marking the vertices whose degree has bit b
-    set: D_l is the sum of popcount(level & plane_b) << b over b."""
+    set, so that D_1 is the sum of popcount(R & plane_b) << b over b, and
+    adds its sums times the number of sources that share it.  Each source
+    of every other row, and of every row with a looped source, is found by
+    ``tuple.index`` and left to the per-source path.
+
+    The per-source path takes every source of a smaller graph, in order,
+    and those the per-row pass leaves.  A loop-free source whose row R may
+    cover looks R up in a memo kept for the call and filled by R's first
+    source, D_1 if R covers, else -1, so false twins, which share R, pay
+    one lookup each; every other source runs the BFS."""
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
     degrees = list(map(int.bit_count, adjacency))
     total = sum(degrees)
-    pairs = [0] * (count + 1)  # pair counts by distance; a level never passes D
+    pairs = [0] * max(count + 1, 3)  # pair counts by distance, to D and to 2 at least
     eccentricities = [2] * count  # a covering row's sources keep this
     zagreb2 = gutman = schultz = 0
-    memo = {}  # a loop-free row's D_1 if it covers, else -1
-    planes = None
+    memo = {}  # the per-source path's: a loop-free row's D_1 if it covers, else -1
     sources = enumerate(degrees)
-
-    def level_sum(mask):
-        dsum = 0
-        if planes is not None:
-            for plane in planes:  # the top plane first, doubling the sum so far
-                dsum += dsum + (mask & plane).bit_count()
-            return dsum
-        while mask:
-            low = mask & -mask
-            dsum += degrees[low.bit_length() - 1]
-            mask ^= low
-        return dsum
 
     if count >= _PLANE_MIN:
         planes = _bit_planes(degrees)[::-1]
-        # A row is -1 in the memo when its sources run the BFS: from the
-        # start if one of them has a loop, else once it fails to cover.
-        memo = dict.fromkeys(
-            compress(adjacency, map(and_, map(rshift, adjacency, range(count)), repeat(1))), -1
+        looped_rows = set(
+            compress(adjacency, map(and_, map(rshift, adjacency, range(count)), repeat(1)))
         )
         sources = []
         for row, size in Counter(adjacency).items():
             deg_r = row.bit_count()
             if (
-                row not in memo
+                row not in looped_rows
                 and 0 < deg_r < count - 1
                 and row | adjacency[(row & -row).bit_length() - 1] == everything
             ):
-                dsum = level_sum(row)
+                dsum = 0
+                for plane in planes:  # the top plane first, doubling the sum so far
+                    dsum += dsum + (row & plane).bit_count()
                 zagreb2 += size * deg_r * dsum
                 weighted = dsum + 2 * (total - deg_r - dsum)
                 gutman += size * deg_r * weighted
                 schultz += size * weighted
                 continue
-            memo[row] = -1
             source = -1
             for _ in range(size):
                 source = adjacency.index(row, source + 1)
@@ -243,15 +236,12 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
 
     for source, deg_s in sources:
         frontier = adjacency[source]
-        later = frontier >> source  # bit 0 is the loop; the rest are the vertices above
-        if not later & 1 and 0 < deg_s < count - 1:
+        looped = frontier >> source & 1
+        if not looped and 0 < deg_s < count - 1:
             if (dsum := memo.get(frontier)) is None:
                 covers = frontier | adjacency[(frontier & -frontier).bit_length() - 1] == everything
-                dsum = memo[frontier] = level_sum(frontier) if covers else -1
+                dsum = memo[frontier] = _walk_sum(frontier, degrees) if covers else -1
             if dsum >= 0:
-                placed = later.bit_count()
-                pairs[1] += placed
-                pairs[2] += count - source - 1 - placed
                 zagreb2 += deg_s * dsum
                 weighted = dsum + 2 * (total - deg_s - dsum)
                 gutman += deg_s * weighted
@@ -259,7 +249,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 continue
         above = source + 1  # shifting a level right by this keeps its later vertices
         bit = 1 << source
-        if later & 1:
+        if looped:
             frontier ^= bit  # drop a loop
         seen = frontier | bit
         level = weighted = 0
@@ -267,7 +257,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         while frontier:
             level += 1
             pairs[level] += (frontier >> above).bit_count()
-            dsum = rest if seen == everything else level_sum(frontier)
+            dsum = rest if seen == everything else _walk_sum(frontier, degrees)
             weighted += level * dsum
             rest -= dsum
             if level == 1:
@@ -286,9 +276,9 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
         gutman += deg_s * weighted
         schultz += weighted
         eccentricities[source] = level
-    if count >= _PLANE_MIN:  # level 1 of every source, the BFS sources' again
-        pairs[1] = sum(map(int.bit_count, map(rshift, adjacency, range(1, count + 1))))
-        pairs[2] += count * (count - 1) // 2 - sum(pairs)
+    # Level 1 of every source, the BFS sources' again; then the rest at distance 2.
+    pairs[1] = sum(map(int.bit_count, map(rshift, adjacency, range(1, count + 1))))
+    pairs[2] += count * (count - 1) // 2 - sum(pairs)
     diameter = max(eccentricities, default=0)
     histogram = {d: count for d, count in enumerate(pairs[: diameter + 1]) if count}
     summary = DistanceSummary(histogram, tuple(eccentricities), diameter)

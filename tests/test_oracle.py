@@ -110,6 +110,12 @@ class TestDistanceSummary:
         assert s.diameter == 0
         assert s.eccentricities == (0,)
 
+    def test_no_vertices(self):
+        # The pair counts at distances 1 and 2 are set on every graph, this
+        # one included.
+        g = DivisorGraph(n=0, vertices=(), adjacency=())
+        assert distance_summary(g) == DistanceSummary({}, (), 0)
+
     def test_prime_is_single_edge(self):
         s = distance_summary(graph_of(7))
         assert s.pairs_at_distance == {1: 1}
@@ -831,8 +837,10 @@ class TestPerRowPass:
     def test_a_looped_source_sharing_its_row_with_loop_free_twins(self):
         # Directed rows: 0 points to every other vertex and every other
         # vertex to {0, 1}, which row 0 covers; 1 is in its own row, a loop,
-        # so the whole row runs the BFS rather than the twins of 1 serving
-        # themselves from a cover that 1 would be counted in.
+        # so the per-row pass leaves the whole row to the per-source path
+        # rather than serving 1 from a cover that 1 would be counted in
+        # there: 1 runs the BFS, and its loop-free twins take the cover from
+        # the memo.
         count = 70
         rows = ((1 << count) - 2, *[0b11] * (count - 1))
         g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=rows)
@@ -869,7 +877,8 @@ class TestPerRowPass:
 
 def plane_builds(count, edge_list):
     """Check the oracle against the naive reference, and return how often it
-    built the degree planes that sum the BFS levels of a larger graph."""
+    built the degree planes that sum the covering rows' first levels in the
+    per-row pass of a larger graph."""
     real = divprime.oracle._bit_planes
     with mock.patch.object(divprime.oracle, "_bit_planes", wraps=real) as built:
         assert_matches_naive(count, edge_list)
@@ -910,7 +919,8 @@ def two_hubs_over_a_path(k):
 def powers_of_two_graph():
     """A hub joined to 32 vertices; the j-th of them also holds 2^(j mod 5) - 1
     pendant leaves, so every degree is a power of two, 1 to 32, and the hub's
-    first level, summed from the planes, holds degrees 1, 2, 4, 8 and 16."""
+    first level holds degrees 1, 2, 4, 8 and 16.  The hub's row does not
+    cover, so the BFS expands that level and walks its bits."""
     edge_list, count = [], 33
     for j in range(1, 33):
         edge_list.append((0, j))
@@ -918,6 +928,20 @@ def powers_of_two_graph():
             edge_list.append((j, count))
             count += 1
     return count, edge_list
+
+
+def covering_powers_of_two_graph():
+    """65 vertices: a hub adjacent to every other vertex, two false twins
+    sharing the row {0, 3, 4, 5, 6}, vertices 3 to 6 holding 1, 5, 13 and 29
+    leaves, and 10 more vertices on the hub alone.  The twins' row covers,
+    and its first level, summed from the planes, holds degrees 64, 4, 8, 16
+    and 32, one bit each, the top one at bit 6."""
+    edge_list = [*((0, v) for v in range(1, 65)), *((t, v) for t in (1, 2) for v in range(3, 7))]
+    leaf = 7
+    for v, leaves in zip(range(3, 7), (1, 5, 13, 29)):
+        edge_list += [(v, u) for u in range(leaf, leaf + leaves)]
+        leaf += leaves
+    return 65, edge_list
 
 
 def shuffled_path(count):
@@ -928,8 +952,9 @@ def shuffled_path(count):
 
 class TestDegreePlanes:
     """A graph of 64 or more vertices builds bit-sliced degree planes once,
-    before its first source, and takes every level's degree sum from them; a
-    smaller graph builds none."""
+    in its per-row pass, and sums each covering row's first level from them;
+    a smaller graph builds none.  Every level that the BFS expands is summed
+    by a walk over its bits, whatever the graph's size."""
 
     @given(graphs_with_a_large_level())
     @settings(max_examples=60, deadline=None)
@@ -946,6 +971,14 @@ class TestDegreePlanes:
         degrees = [row.bit_count() for row in graph_from_edges(count, edge_list).adjacency]
         assert {d & (d - 1) for d in degrees} == {0}
         assert set(degrees) == {1, 2, 4, 8, 16, 32}
+        assert plane_builds(count, edge_list) == 1
+
+    def test_a_covering_row_over_every_plane(self):
+        count, edge_list = covering_powers_of_two_graph()
+        rows = graph_from_edges(count, edge_list).adjacency
+        degrees = [row.bit_count() for row in rows]
+        assert rows[1] == rows[2] == 0b1111001
+        assert [degrees[v] for v in (0, 3, 4, 5, 6)] == [64, 4, 8, 16, 32]
         assert plane_builds(count, edge_list) == 1
 
     def test_each_plane_marks_one_bit_of_the_degrees(self):
@@ -1000,13 +1033,48 @@ class TestDegreePlanes:
         ids=["P63", "P64", "P65", "P130", "C63", "C64", "C65", "C130", "P97_shuffled"],
     )
     def test_long_paths_and_cycles(self, count, edge_list):
-        # Every level but the last is expanded, and each of them is summed
-        # by a walk over its bits below 64 vertices and from the planes from
-        # 64 on.  The last level from the middle of an odd path, or from
-        # vertex 32 of C65 (64 and 0), holds vertices both below and above
-        # the source, so its pair count by popcount above the source must
-        # leave out the one below.
+        # Every level but the last is expanded and summed by a walk over its
+        # bits, on either side of 64 vertices: no row of a path or a cycle
+        # covers, so the planes built from 64 on sum nothing.  The last
+        # level from the middle of an odd path, or from vertex 32 of C65 (64
+        # and 0), holds vertices both below and above the source, so its pair
+        # count by popcount above the source must leave out the one below.
         assert plane_builds(count, edge_list) == (1 if count >= 64 else 0)
+
+
+def level_sum_calls(g):
+    """How often ``oracle_report`` on g walked a level's bits and built the
+    degree planes."""
+    oracle = divprime.oracle
+    with mock.patch.object(oracle, "_walk_sum", wraps=oracle._walk_sum) as walked:
+        with mock.patch.object(oracle, "_bit_planes", wraps=oracle._bit_planes) as built:
+            oracle_report(g)
+    return walked.call_count, built.call_count
+
+
+class TestLevelSumsOnDivisorGraphs:
+    """On a divisor graph every row but divisor 1's holds divisor 1, which
+    is adjacent to every other divisor, so that row covers unless it holds
+    every other divisor too, as for prime n, and the first level of a
+    source adjacent to every other divisor is its last.  So no BFS level is
+    ever summed: below 64 vertices the memo walks the first level of each
+    covering prime support's row once, and from 64 on the planes sum them
+    all."""
+
+    def test_below_64_vertices(self):
+        # n = 1 has no nonempty support, and the row {1} of a prime p holds
+        # every other divisor, so p runs the BFS, as 1 does.
+        for n in range(1, 3001):
+            g = graph_of(n)
+            assert len(g.vertices) < 64
+            supports = 2 ** len(factorize(n).factors) - 1
+            assert level_sum_calls(g) == (supports if len(g.vertices) > 2 else 0, 0), n
+
+    @pytest.mark.parametrize("n", [7560, 27720, 720720, 367567200])
+    def test_from_64_vertices(self, n):
+        g = graph_of(n)
+        assert len(g.vertices) >= 64
+        assert level_sum_calls(g) == (0, 1)
 
 
 _PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

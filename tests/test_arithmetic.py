@@ -1,6 +1,7 @@
 import csv
 import io
 from functools import cache
+from itertools import compress
 from math import isqrt
 
 import pytest
@@ -307,11 +308,15 @@ class TestMultiplesOfTheBases:
 
 
 # Pollard p-1 splits p from p * q when p - 1 is 10^4-smooth (stage 1) or
-# such a number times one prime in [10^4, 5 * 10^4) (stage 2).  A safe prime
-# q = 2q' + 1 with q' prime is found by neither stage.
+# such a number times one prime in [10^4, 2 * 10^5) (stage 2).  A safe prime
+# q = 2q' + 1 with q' prime is found by neither stage.  With giant step
+# W = 2310, stage 2 meets 50021 = 22W - 799 and 100003 = 43W + 673, two
+# primes past its earlier bound of 5 * 10^4, at different giant steps.
 P_STAGE1 = 2**2 * 7 * 19 * 41 * 61 * 67 * 89 + 1
 P_STAGE1_TOO = 2 * 5 * 11 * 13 * 23 * 31 * 37 * 43 + 1
 P_STAGE2 = 2**2 * 5 * 41 * 61 * 20011 + 1
+P_STAGE2_BELOW = 2 * 50021 + 1
+P_STAGE2_ABOVE = 2 * 3 * 7 * 100003 + 1
 SAFE, SAFE_TOO = 2 * 500000003 + 1, 2 * 500000201 + 1
 
 
@@ -320,9 +325,10 @@ class TestPollardPm1:
     which hands anything but a proper divisor on to Pollard rho."""
 
     def test_inputs_are_what_they_claim(self):
-        for p in (P_STAGE1, P_STAGE1_TOO, P_STAGE2, SAFE, SAFE_TOO):
+        for p in (P_STAGE1, P_STAGE1_TOO, P_STAGE2, P_STAGE2_BELOW, P_STAGE2_ABOVE, SAFE, SAFE_TOO):
             assert trial_division_is_prime(p)
-        assert trial_division_is_prime(20011)
+        for q in (20011, 50021, 100003):
+            assert trial_division_is_prime(q)
         assert trial_division_is_prime(SAFE // 2) and trial_division_is_prime(SAFE_TOO // 2)
 
     def test_stage_1_splits_a_smooth_p_minus_1(self):
@@ -335,6 +341,41 @@ class TestPollardPm1:
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == P_STAGE2
         assert factorize(m).factors == ((SAFE, 1), (P_STAGE2, 1))
+
+    def test_stage_2_terms_cover_exactly_the_primes_in_its_range(self):
+        # A term (g, b) stands for g*W - b and g*W + b: each prime in
+        # [10^4, B2) is one of those of exactly one term, and each term has one.
+        lo, hi = divprime.arithmetic._TRIAL_BOUND, divprime.arithmetic._PM1_BOUND2
+        width = divprime.arithmetic._PM1_WIDTH
+        _, coprime, table = _pm1_plan()
+        babies = list(compress(range(1, width // 2 + 1, 2), coprime))
+        assert babies == [b for b in range(1, width // 2) if gcd(b, width) == 1]
+        covered = []
+        for g, runs in enumerate(table, 1):
+            for k in b"".join(runs):
+                pair = (g * width - babies[k], g * width + babies[k])
+                primes = [q for q in pair if lo <= q < hi and trial_division_is_prime(q)]
+                assert primes, (g, babies[k])
+                covered += primes
+        assert sorted(covered) == [q for q in range(lo, hi) if trial_division_is_prime(q)]
+
+    @pytest.mark.parametrize(
+        "p, q, g, b", [(P_STAGE2_BELOW, 50021, 22, -799), (P_STAGE2_ABOVE, 100003, 43, 673)]
+    )
+    def test_stage_2_splits_one_prime_past_its_earlier_bound(self, p, q, g, b):
+        assert q == g * divprime.arithmetic._PM1_WIDTH + b
+        assert (p - 1) % q == 0 and 5 * 10**4 < q < divprime.arithmetic._PM1_BOUND2
+        m = p * SAFE
+        exponent = _pm1_plan()[0]
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
+        assert _pollard_pm1(m) == p
+        assert factorize(m).factors == ((p, 1), (SAFE, 1))
+
+    def test_primes_met_at_different_giant_steps_split_m(self):
+        # 50021 is met at giant step 22, before 100003 at 43.
+        m = P_STAGE2_BELOW * P_STAGE2_ABOVE
+        assert _pollard_pm1(m) == P_STAGE2_BELOW
+        assert factorize(m).factors == ((P_STAGE2_BELOW, 1), (P_STAGE2_ABOVE, 1))
 
     def test_two_safe_primes_go_on_to_rho(self):
         assert _pollard_pm1(SAFE * SAFE_TOO) == 1

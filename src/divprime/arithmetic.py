@@ -15,10 +15,10 @@ baby and giant steps that cover two primes with one product where they can
 which gives up with :class:`FactorBudgetError` after 2^25 steps rather than
 run without end.
 
-Primality is a set lookup below the trial-division bound, then Miller-Rabin
-with the bases proven for n's size below psi_13 (about 3.3e24), so its cost
-follows that size; past psi_13 all fourteen bases give a deterministic test
-that is not proven.
+Primality below 10^8 is trial division by the same blocks of primes; from
+there it is Miller-Rabin with the bases proven for n's size below psi_13
+(about 3.3e24), so its cost follows that size; past psi_13 all fourteen
+bases give a deterministic test that is not proven.
 
 All functions are pure and all returned values immutable, so they are safe
 to share across threads or worker processes.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import compress, groupby, starmap
+from itertools import chain, compress, groupby, starmap
 from math import gcd, isqrt, prod
 
 __all__ = [
@@ -66,15 +66,15 @@ _PM1_WIDTH = 2310
 # factorize raises FactorBudgetError instead.
 _RHO_BUDGET = 1 << 25
 
-# Miller-Rabin witnesses by input size.  Below each bound, every odd
-# composite fails the test for one of the first k prime bases: the bounds
-# are the least strong pseudoprimes to those bases, psi_k (OEIS A014233;
-# Jaeschke 1993, Jiang and Deng 2014, Sorenson and Webster 2017).  Past the
-# last bound all fourteen bases are used, a deterministic strong test with
-# no known counterexample; base 43 rejects psi_13 itself.
+# Miller-Rabin witnesses by input size from 10^8 (is_prime trial-divides
+# below).  Below each bound, every odd composite fails the test for one of
+# the first k prime bases: the bounds are the least strong pseudoprimes to
+# those bases, psi_k (OEIS A014233; Jaeschke 1993, Jiang and Deng 2014,
+# Sorenson and Webster 2017).  Past the last bound all fourteen bases are
+# used, a deterministic strong test with no known counterexample; base 43
+# rejects psi_13 itself.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _MR_TIERS = (
-    (1_373_653, _MR_BASES[:2]),
     (3_215_031_751, _MR_BASES[:4]),
     (3_474_749_660_383, _MR_BASES[:6]),
     (3_825_123_056_546_413_051, _MR_BASES[:9]),
@@ -101,29 +101,29 @@ def _sieve(bound: int) -> bytearray:
 
 
 @cache
-def _primes_below(bound: int) -> tuple[int, ...]:
-    return tuple(compress(range(bound), _sieve(bound)))
-
-
-@cache
 def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The primes below _TRIAL_BOUND by bit length, each length as its least prime
     squared, to stop at, its product, to pass over by one gcd, and its primes."""
-    groups = (tuple(g) for _, g in groupby(_primes_below(_TRIAL_BOUND), int.bit_length))
+    primes = compress(range(_TRIAL_BOUND), _sieve(_TRIAL_BOUND))
+    groups = (tuple(g) for _, g in groupby(primes, int.bit_length))
     return tuple((g[0] * g[0], prod(g), g) for g in groups)
 
 
-@cache
-def _small_prime_set() -> frozenset[int]:
-    return frozenset(_primes_below(_TRIAL_BOUND))
-
-
 def is_prime(n: int) -> bool:
-    """Primality test: a set lookup below _TRIAL_BOUND, otherwise
-    Miller-Rabin with the fewest bases proven for n's size (_MR_TIERS).
-    Exact for every n below the last bound, about 3.3e24."""
-    if n < _TRIAL_BOUND:
-        return n in _small_prime_set()
+    """Primality test, exact for every n below psi_13, about 3.3e24.  Below
+    _TRIAL_BOUND**2 = 10^8, n > 1 is prime exactly when it is coprime to
+    each block of _trial_blocks whose least prime squared is at most n: a
+    composite n has a prime p <= sqrt(n), whose block is tested, and a prime
+    n < _TRIAL_BOUND of bit length k is below the square of its block's least
+    prime, 2**(k-1) or more, so it is never tested against itself.  From
+    10^8, Miller-Rabin with the fewest bases proven for n's size (_MR_TIERS)."""
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        for square, block, _ in _trial_blocks():
+            if square > n:
+                break
+            if gcd(block, n) != 1:
+                return False
+        return n > 1
     for bound, bases in _MR_TIERS:
         if n < bound:
             break
@@ -195,7 +195,7 @@ def _pm1_plan() -> tuple[int, bytes, tuple[tuple[bytes, ...], ...]]:
     them of every b for which g*W - b or g*W + b is a prime in
     [_TRIAL_BOUND, _PM1_BOUND2), in runs of at most 8."""
     exponent = 1
-    for p in _primes_below(_TRIAL_BOUND):
+    for p in chain.from_iterable(primes for *_, primes in _trial_blocks()):
         power = p
         while power * p < _TRIAL_BOUND:
             power *= p
@@ -316,7 +316,7 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below 10^4 first.  Each composite cofactor
     left is then split as a perfect power, else by Pollard p-1 (stage 1 to
     10^4, stage 2 to 2*10^5), else by Pollard rho from a fixed start, and
-    Miller-Rabin checks the parts, so the result is deterministic for a
+    is_prime checks the parts, so the result is deterministic for a
     given n and comfortably handles inputs far beyond what the explicit
     graph can represent.  Raises FactorBudgetError when rho spends its
     budget of 2^25 steps on a cofactor without splitting it.
@@ -332,7 +332,7 @@ def factorize(n: int) -> Factorization:
                     exponents[p] = exponents.get(p, 0) + 1
                     remaining //= p
     # What trial division leaves is 1, a prime, or free of primes below
-    # _TRIAL_BOUND, so any cofactor below the bound squared is prime.
+    # _TRIAL_BOUND, so by is_prime's rule any cofactor below 10^8 is prime.
     stack = [remaining] if remaining > 1 else []
     while stack:
         m = stack.pop()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import and_, mul, rshift
 from struct import pack
@@ -183,20 +183,20 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     distance 2 are the pairs not otherwise counted, as the BFS raises on a
     source that misses a vertex.
 
-    A graph of ``_PLANE_MIN`` or more vertices first takes the per-row
-    pass: it groups its rows by value in a ``Counter``, sums each covering
-    row's D_1 once, from degree planes (Biham 1997) built by
-    ``_bit_planes``, plane b marking the vertices whose degree has bit b
-    set, so that D_1 is the sum of popcount(R & plane_b) << b over b, and
-    adds its sums times the number of sources that share it.  Each source
-    of every other row, and of every row with a looped source, is found by
+    A graph of ``_PLANE_MIN`` or more vertices with no loop, as every one
+    from ``build_graph`` is, first takes the per-row pass: it groups its
+    rows by value in a ``Counter``, sums each covering row's D_1 once, from
+    degree planes (Biham 1997) built by ``_bit_planes``, plane b marking the
+    vertices whose degree has bit b set, so that D_1 is the sum of
+    popcount(R & plane_b) << b over b, and adds its sums times the number of
+    sources that share it.  Each source of every other row is found by
     ``tuple.index`` and left to the per-source path.
 
-    The per-source path takes every source of a smaller graph, in order,
-    and those the per-row pass leaves.  A loop-free source whose row R may
-    cover looks R up in a memo kept for the call and filled by R's first
-    source, D_1 if R covers, else -1, so false twins, which share R, pay
-    one lookup each; every other source runs the BFS."""
+    The per-source path takes every source of a smaller graph or of a graph
+    with a loop, in order, and those the per-row pass leaves.  A loop-free
+    source whose row R may cover looks R up in a memo kept for the call and
+    filled by R's first source, D_1 if R covers, else -1, so false twins,
+    which share R, pay one lookup each; every other source runs the BFS."""
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
@@ -208,17 +208,15 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     memo = {}  # the per-source path's: a loop-free row's D_1 if it covers, else -1
     sources = enumerate(degrees)
 
-    if count >= _PLANE_MIN:
+    if count >= _PLANE_MIN and not any(
+        map(and_, map(rshift, adjacency, range(count)), repeat(1))  # any loop
+    ):
         planes = _bit_planes(degrees)[::-1]
-        looped_rows = set(
-            compress(adjacency, map(and_, map(rshift, adjacency, range(count)), repeat(1)))
-        )
         sources = []
         for row, size in Counter(adjacency).items():
             deg_r = row.bit_count()
             if (
-                row not in looped_rows
-                and 0 < deg_r < count - 1
+                0 < deg_r < count - 1
                 and row | adjacency[(row & -row).bit_length() - 1] == everything
             ):
                 dsum = 0

@@ -100,6 +100,14 @@ class TestFactorizationInvariants:
         with pytest.raises(ValueError):
             Factorization(0, ())
 
+    # One composite "prime" on each side of 10^8, where is_prime turns from
+    # trial division to Miller-Rabin: 9973 and 10007 are the primes either
+    # side of 10^4.
+    @pytest.mark.parametrize("p", [9973**2, 10007**2])
+    def test_rejects_a_square_of_a_prime_as_a_factor(self, p):
+        with pytest.raises(ValueError, match="is not prime"):
+            Factorization(p, ((p, 1),))
+
 
 class TestDivisors:
     def test_twelve(self):
@@ -256,8 +264,11 @@ class TestPerfectPowers:
 
 
 class TestPrimalityTiers:
-    """is_prime switches its Miller-Rabin bases at each bound of
-    arithmetic._MR_TIERS; check it exactly on both sides of the first three."""
+    """is_prime trial-divides below 10^8, the trial bound squared, by blocks of
+    primes of one bit length, the last of which, from 8209, is first tested
+    at 8209^2, and from 10^8 switches its Miller-Rabin bases at each bound of
+    arithmetic._MR_TIERS; check it exactly below two million, on both sides
+    of 8209^2 and 10^8, and on both sides of the first two bounds."""
 
     def test_equals_sieve_below_two_million(self):
         flags = sieve(2 * 10**6)
@@ -265,7 +276,7 @@ class TestPrimalityTiers:
             m for m, flag in enumerate(flags) if flag
         ]
 
-    @pytest.mark.parametrize("bound", [3_215_031_751, 3_474_749_660_383])
+    @pytest.mark.parametrize("bound", [8209**2, 10**8, 3_215_031_751, 3_474_749_660_383])
     def test_equals_segmented_sieve_around_tier_bound(self, bound):
         lo, hi = bound - 200, bound + 201
         assert [m for m in range(lo, hi) if is_prime(m)] == segmented_sieve(lo, hi)
@@ -275,19 +286,24 @@ class TestPrimalityTiers:
         assert is_prime(2**exponent - 1)
 
 
-# Where is_prime's tiers start: the trial bound, then each _MR_TIERS bound,
-# the last of which is psi_13; and 10^30, well inside the last tier.
+# Where is_prime's tiers start: the trial bound; psi_2 = 1373653, past
+# which Miller-Rabin would need more than bases 2 and 3; the trial bound
+# squared, where Miller-Rabin starts; each _MR_TIERS bound, the last of
+# which is psi_13; and 10^30, well inside the last tier.
 TIER_STARTS = (
     divprime.arithmetic._TRIAL_BOUND,
+    1_373_653,
+    divprime.arithmetic._TRIAL_BOUND**2,
     *(bound for bound, _ in divprime.arithmetic._MR_TIERS),
     10**30,
 )
 
 
 class TestMultiplesOfTheBases:
-    """is_prime relies on Miller-Rabin alone to reject a multiple n >= 10^4 of
-    one of its bases a: a^d mod n and each of its squares share the factor a
-    with n, so none of them is 1 or n - 1."""
+    """A multiple n of one of is_prime's Miller-Rabin bases a is composite.
+    Below 10^8 trial division rejects it by a's block of primes; from 10^8
+    Miller-Rabin alone must: a^d mod n and each of its squares share the
+    factor a with n, so none of them is 1 or n - 1."""
 
     @pytest.mark.parametrize("start", TIER_STARTS)
     def test_base_times_a_prime_just_past_each_tier_start(self, start):

@@ -793,7 +793,7 @@ def rows_with_loops_and_dropped_arcs(draw):
 
 
 class TestPerRowPass:
-    """A graph of 64 or more vertices sums each covering row's first level
+    """A loop-free graph of 64 or more vertices sums each covering row's first level
     once for all of its sources, runs the BFS from the sources of every
     other row, and counts as distance 2 every pair that neither level 1 nor
     the BFS counted.  It must agree with references that share no code with
@@ -823,11 +823,12 @@ class TestPerRowPass:
     @pytest.mark.parametrize("looped", [1, 2, 3])
     def test_a_twin_class_with_a_looped_member(self, looped):
         # Vertex 0 is adjacent to every other vertex, and 1 to 68 to 69, so
-        # they have the neighbours {0, 69}, which row 0 covers.  The member
-        # with a loop has a row of its own and runs the BFS, with the loop
-        # in its degree; the other 67 share the row {0, 69}, which sums its
-        # first level once.  So row 0 is read three times: by that row's
-        # cover test, by source 0 and by the BFS.
+        # they have the neighbours {0, 69}, which row 0 covers.  The loop
+        # leaves the whole graph to the per-source path: the member with a
+        # loop runs the BFS, with the loop in its degree, and the other 67
+        # share the row {0, 69}, whose first source tests the cover once for
+        # the memo.  So row 0 is read three times: by that cover test, by
+        # source 0 and by the BFS.
         count = 70
         edge_list = [*((0, v) for v in range(1, count)), *((v, 69) for v in range(1, 69))]
         edge_list.append((looped, looped))
@@ -837,8 +838,8 @@ class TestPerRowPass:
     def test_a_looped_source_sharing_its_row_with_loop_free_twins(self):
         # Directed rows: 0 points to every other vertex and every other
         # vertex to {0, 1}, which row 0 covers; 1 is in its own row, a loop,
-        # so the per-row pass leaves the whole row to the per-source path
-        # rather than serving 1 from a cover that 1 would be counted in
+        # so the whole graph is left to the per-source path rather than
+        # the per-row pass serving 1 from a cover that 1 would be counted in
         # there: 1 runs the BFS, and its loop-free twins take the cover from
         # the memo.
         count = 70
@@ -846,6 +847,15 @@ class TestPerRowPass:
         g = DivisorGraph(n=0, vertices=tuple(range(count)), adjacency=rows)
         assert distance_summary(g) == directed_summary(rows)
         assert divprime.oracle._bfs_sums(g) == per_source_sums(g)
+
+    @pytest.mark.parametrize("looped", [0, 1, 7])
+    def test_one_loop_leaves_the_whole_graph_to_the_per_source_path(self, looped):
+        # 65 vertices, so the per-row pass would build the degree planes for
+        # the twins' covering row; a loop at the hub, at a twin or at a leaf
+        # keeps every source on the per-source path, which builds none.
+        count, edge_list = covering_powers_of_two_graph()
+        edge_list.append((looped, looped))
+        assert plane_builds(count, edge_list, assert_bfs_sums_match_naive) == 0
 
     def test_a_cover_that_misses_its_first_source(self):
         # Directed rows: 0 and 1 share the row {2}, row 2 is every vertex but
@@ -875,13 +885,13 @@ class TestPerRowPass:
             oracle_report(g)
 
 
-def plane_builds(count, edge_list):
-    """Check the oracle against the naive reference, and return how often it
-    built the degree planes that sum the covering rows' first levels in the
-    per-row pass of a larger graph."""
+def plane_builds(count, edge_list, check=assert_matches_naive):
+    """Check the oracle against the naive reference with ``check``, and
+    return how often it built the degree planes that sum the covering rows'
+    first levels in the per-row pass of a larger graph."""
     real = divprime.oracle._bit_planes
     with mock.patch.object(divprime.oracle, "_bit_planes", wraps=real) as built:
-        assert_matches_naive(count, edge_list)
+        check(count, edge_list)
     return built.call_count
 
 
@@ -951,9 +961,9 @@ def shuffled_path(count):
 
 
 class TestDegreePlanes:
-    """A graph of 64 or more vertices builds bit-sliced degree planes once,
-    in its per-row pass, and sums each covering row's first level from them;
-    a smaller graph builds none.  Every level that the BFS expands is summed
+    """A loop-free graph of 64 or more vertices builds bit-sliced degree
+    planes once, in its per-row pass, and sums each covering row's first
+    level from them; a smaller graph, or one with a loop, builds none.  Every level that the BFS expands is summed
     by a walk over its bits, whatever the graph's size."""
 
     @given(graphs_with_a_large_level())

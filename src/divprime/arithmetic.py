@@ -8,12 +8,13 @@ throughout, so every value is exact at any size.
 Factorization runs four stages.  Trial division strips the primes below
 10^4.  Each composite cofactor left is split as a perfect power if it is
 one, else by Pollard's p-1 method (Pollard 1974): stage 1 raises 3 to the
-largest power below 10^4 of every prime below it in one ``pow``, and stage 2
-tries each prime in [10^4, 2*10^5) as the one large factor of p - 1, by
+largest power below 10^4 of every prime below it in one ``pow``, and again
+one power at a time when that catches every prime at once, and stage 2
+tries each prime in [10^4, 5*10^5) as the one large factor of p - 1, by
 baby and giant steps that cover two primes with one product where they can
-(Montgomery 1987).  What p-1 leaves goes to Brent's variant of Pollard rho,
-which gives up with :class:`FactorBudgetError` after 2^25 steps rather than
-run without end.
+(Montgomery 1987).  What p-1 leaves goes to Brent's variant of Pollard rho
+(Brent 1980), which multiplies four differences per reduction and gives up
+with :class:`FactorBudgetError` after 2^25 steps rather than run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13
@@ -49,16 +50,19 @@ _TRIAL_BOUND = 10_000
 # Pollard p-1: the base, the end of stage 2's primes, and stage 2's giant
 # step W.  The base is not 2: it has order 89 modulo 2^89 - 1, so base 2
 # finds both Mersenne primes of (2^89 - 1)^2 * (2^61 - 1) at once.  The
-# bound is the largest of {2, 3, 5}*10^5 at which a call that splits nothing
-# takes at most 1.3x as long as one whose stage 2 stops at 5*10^4 with two
-# products per prime: on factor-benchmark cofactors (seed 5, CPython 3.11,
-# 2-core x86-64) such calls took x1.19-1.21, x1.45-1.52 and x1.92-2.00 in
-# two scans, and p-1 split 147, 157 and 171 of 240, against 109.
+# bound is the least of {2, 3, 5, 10}*10^5 at which factorize, p-1 and rho
+# together, runs fastest over the factor benchmark's N, with the median N no
+# slower.  Timed per N in turn in one process over 480 N (seeds 1, 5 and 77,
+# CPython 3.11, 2-core x86-64), against 2*10^5: 3*10^5 took x0.94, 5*10^5
+# x0.91 and 10^6 x0.91-0.92, the median N 3.7-4.3 ms at each; 10^6 also
+# takes 16-20 ms to plan, against 8-14 ms, and 0.8 MiB more.  A p-1 call
+# that splits nothing takes x1.6 as long as at 2*10^5, still under a third
+# of a rho call.
 # W = 2*3*5*7*11 has 240 baby steps, the odd b < W/2 prime to W; of the
-# primorials it takes the fewest baby and giant steps to 2*10^5: 577 + 87,
-# against 52 + 952 for 210 and 7507 + 7 for 30030.
+# primorials it takes the fewest baby and giant steps to 5*10^5: 577 + 216,
+# against 52 + 2381 for 210 and 7507 + 17 for 30030.
 _PM1_BASE = 3
-_PM1_BOUND2 = 200_000
+_PM1_BOUND2 = 500_000
 _PM1_WIDTH = 2310
 
 # Brent rho's f-steps over all its walks on one cofactor, about 18x what
@@ -186,20 +190,21 @@ class FactorBudgetError(ArithmeticError):
 
 
 @cache
-def _pm1_plan() -> tuple[int, bytes, tuple[tuple[bytes, ...], ...]]:
-    """Stage 1's exponent, the product of the largest power below
-    _TRIAL_BOUND of every prime below it, and stage 2's term table.
+def _pm1_plan() -> tuple[int, tuple[int, ...], bytes, tuple[tuple[bytes, ...], ...]]:
+    """Stage 1's exponent; the prime powers it is the product of, the
+    largest below _TRIAL_BOUND of every prime below it, in ascending order;
+    and stage 2's term table.
 
     With W = _PM1_WIDTH, the table flags each odd b <= W/2 prime to W (the
     baby steps), and lists for each giant step g = 1, 2, ... the index among
     them of every b for which g*W - b or g*W + b is a prime in
     [_TRIAL_BOUND, _PM1_BOUND2), in runs of at most 8."""
-    exponent = 1
+    powers = []
     for p in chain.from_iterable(primes for *_, primes in _trial_blocks()):
         power = p
         while power * p < _TRIAL_BOUND:
             power *= p
-        exponent *= power
+        powers.append(power)
     width, half = _PM1_WIDTH, _PM1_WIDTH // 2
     coprime = bytes(gcd(b, width) == 1 for b in range(1, half + 1, 2))
     babies = tuple(compress(range(1, half + 1, 2), coprime))
@@ -210,7 +215,7 @@ def _pm1_plan() -> tuple[int, bytes, tuple[tuple[bytes, ...], ...]]:
     for c in range(width, _PM1_BOUND2 + half, width):
         terms = bytes(k for k, b in enumerate(babies) if flags[c - b] or flags[c + b])
         table.append(tuple(terms[i : i + 8] for i in range(0, len(terms), 8)))
-    return exponent, coprime, tuple(table)
+    return prod(powers), tuple(powers), coprime, tuple(table)
 
 
 def _pollard_pm1(m: int) -> int:
@@ -219,9 +224,13 @@ def _pollard_pm1(m: int) -> int:
 
     Stage 1 takes x = _PM1_BASE^E mod m, E the stage-1 exponent, so
     gcd(x - 1, m) holds every prime p of m for which the order of the base
-    modulo p divides E.  Stage 2 catches those whose order is such a
-    divisor times one prime q in [_TRIAL_BOUND, _PM1_BOUND2), by Montgomery's
-    baby-step giant-step continuation with prime pairing (Montgomery 1987).
+    modulo p divides E.  When that is every prime of m, stage 1 runs again
+    from the base, one prime power of E at a time in ascending order with a
+    gcd after each, and returns the first gcd past 1, which is m only when
+    every prime of m comes out at the same power.  Stage 2 catches those
+    whose order is such a divisor times one prime q in [_TRIAL_BOUND,
+    _PM1_BOUND2), by Montgomery's baby-step giant-step continuation with
+    prime pairing (Montgomery 1987).
     With W = _PM1_WIDTH, each such q is g*W - b or g*W + b for one giant
     step g and one baby step b < W/2 prime to W.  Let V_g = x^(gW) + x^(-gW)
     and v_b = x^b + x^(-b), each reached from the two before it by one
@@ -232,9 +241,16 @@ def _pollard_pm1(m: int) -> int:
     row of _pm1_plan's table, reducing modulo m once per run of 8, and
     takes one gcd, so two primes of m caught at different giant steps
     come out one at a time."""
-    exponent, coprime, table = _pm1_plan()
+    exponent, powers, coprime, table = _pm1_plan()
     x = pow(_PM1_BASE, exponent, m)
     g = gcd(x - 1, m)
+    if g == m:  # every prime of m caught at once: take them apart
+        x = _PM1_BASE
+        for power in powers:
+            x = pow(x, power, m)
+            g = gcd(x - 1, m)
+            if g != 1:
+                break
     if g != 1:
         return g
     v = (x + pow(x, -1, m)) % m
@@ -262,8 +278,11 @@ def _pollard_pm1(m: int) -> int:
 def _pollard_rho(n: int) -> int:
     """Brent's cycle variant of Pollard rho on y -> y^2 + c from y = 2, with
     c = 1, 2, ...; n must be an odd composite with no prime below
-    _TRIAL_BOUND.  Raises FactorBudgetError rather than begin a stride r whose
-    2r f-steps could take its walks past _RHO_BUDGET, checked per doubling."""
+    _TRIAL_BOUND.  The product of differences x - y is reduced modulo n once
+    per four f-steps, and gcd'd with n once per 128 (Brent 1980); their sign
+    does not change a gcd with n, so none is taken.  Raises FactorBudgetError
+    rather than begin a stride r whose 2r f-steps could take its walks past
+    _RHO_BUDGET, checked per doubling."""
     spent = c = 0
     while True:
         y, c = 2, c + 1
@@ -282,9 +301,16 @@ def _pollard_rho(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             spent += r + min(k, r)
@@ -294,7 +320,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
         # Degenerate cycle; retry with the next c.
@@ -315,7 +341,7 @@ def factorize(n: int) -> Factorization:
 
     Trial division by the primes below 10^4 first.  Each composite cofactor
     left is then split as a perfect power, else by Pollard p-1 (stage 1 to
-    10^4, stage 2 to 2*10^5), else by Pollard rho from a fixed start, and
+    10^4, stage 2 to 5*10^5), else by Pollard rho from a fixed start, and
     is_prime checks the parts, so the result is deterministic for a
     given n and comfortably handles inputs far beyond what the explicit
     graph can represent.  Raises FactorBudgetError when rho spends its

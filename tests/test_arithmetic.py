@@ -1,8 +1,9 @@
 import csv
 import io
+import random
 from functools import cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -324,16 +325,50 @@ class TestMultiplesOfTheBases:
 
 
 # Pollard p-1 splits p from p * q when p - 1 is 10^4-smooth (stage 1) or
-# such a number times one prime in [10^4, 2 * 10^5) (stage 2).  A safe prime
+# such a number times one prime in [10^4, 5 * 10^5) (stage 2).  A safe prime
 # q = 2q' + 1 with q' prime is found by neither stage.  With giant step
 # W = 2310, stage 2 meets 50021 = 22W - 799 and 100003 = 43W + 673, two
-# primes past its earlier bound of 5 * 10^4, at different giant steps.
+# primes past its earlier bound of 5 * 10^4, at different giant steps, and
+# 499979 = 216W + 1019, past its earlier bound of 2 * 10^5, at its last.
+# 11299 = 5W - 251 and 11801 = 5W + 251 share one stage-2 term.
 P_STAGE1 = 2**2 * 7 * 19 * 41 * 61 * 67 * 89 + 1
 P_STAGE1_TOO = 2 * 5 * 11 * 13 * 23 * 31 * 37 * 43 + 1
 P_STAGE2 = 2**2 * 5 * 41 * 61 * 20011 + 1
 P_STAGE2_BELOW = 2 * 50021 + 1
 P_STAGE2_ABOVE = 2 * 3 * 7 * 100003 + 1
+P_STAGE2_FAR = 2**6 * 3**4 * 5**3 * 7**2 * 11 * 13 * 17**2 * 19 * 23 * 29 * 31 * 37 * 499979 + 1
+P_TERM, P_TERM_TOO = 4 * 11299 + 1, 2 * 11801 + 1
 SAFE, SAFE_TOO = 2 * 500000003 + 1, 2 * 500000201 + 1
+
+
+def lucas_is_prime(p: int, primes: tuple[int, ...]) -> bool:
+    """Lucas's test as Brillhart, Lehmer and Selfridge (1975) state it,
+    independent of is_prime: p is prime when ``primes`` are every prime of
+    p - 1 and, for each r of them, some a below 100 has a^(p-1) = 1 and
+    a^((p-1)/r) != 1 modulo p."""
+    rest = p - 1
+    for r in primes:
+        assert trial_division_is_prime(r)
+        while rest % r == 0:
+            rest //= r
+    return rest == 1 and all(
+        any(pow(a, p - 1, p) == 1 and pow(a, (p - 1) // r, p) != 1 for a in range(2, 100))
+        for r in primes
+    )
+
+
+def sieve_primes(bound: int) -> list[int]:
+    """The primes below bound, by a sieve of Eratosthenes over a list."""
+    flags = [True] * bound
+    flags[:2] = [False, False]
+    for p in range(2, isqrt(bound - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, bound, p))
+    return list(compress(range(bound), flags))
+
+
+def no_rho(m: int) -> int:
+    raise AssertionError(f"Pollard rho ran on {m}")
 
 
 class TestPollardPm1:
@@ -341,11 +376,14 @@ class TestPollardPm1:
     which hands anything but a proper divisor on to Pollard rho."""
 
     def test_inputs_are_what_they_claim(self):
-        for p in (P_STAGE1, P_STAGE1_TOO, P_STAGE2, P_STAGE2_BELOW, P_STAGE2_ABOVE, SAFE, SAFE_TOO):
+        stage_2 = (P_STAGE2, P_STAGE2_BELOW, P_STAGE2_ABOVE, P_TERM, P_TERM_TOO)
+        for p in (P_STAGE1, P_STAGE1_TOO, *stage_2, SAFE, SAFE_TOO):
             assert trial_division_is_prime(p)
-        for q in (20011, 50021, 100003):
+        for q in (20011, 50021, 100003, 499979, 11299, 11801):
             assert trial_division_is_prime(q)
         assert trial_division_is_prime(SAFE // 2) and trial_division_is_prime(SAFE_TOO // 2)
+        assert lucas_is_prime(P_STAGE2_FAR, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 499979))
+        assert not lucas_is_prime(561, (2, 5, 7))  # 3 * 11 * 17, a Carmichael number
 
     def test_stage_1_splits_a_smooth_p_minus_1(self):
         assert _pollard_pm1(P_STAGE1 * SAFE) == P_STAGE1
@@ -363,17 +401,20 @@ class TestPollardPm1:
         # [10^4, B2) is one of those of exactly one term, and each term has one.
         lo, hi = divprime.arithmetic._TRIAL_BOUND, divprime.arithmetic._PM1_BOUND2
         width = divprime.arithmetic._PM1_WIDTH
-        _, coprime, table = _pm1_plan()
+        *_, coprime, table = _pm1_plan()
         babies = list(compress(range(1, width // 2 + 1, 2), coprime))
         assert babies == [b for b in range(1, width // 2) if gcd(b, width) == 1]
+        expected = [q for q in sieve_primes(hi) if q >= lo]
+        assert expected[:2] == [10007, 10009] and expected[-1] == 499979
+        in_range = set(expected)
         covered = []
         for g, runs in enumerate(table, 1):
             for k in b"".join(runs):
                 pair = (g * width - babies[k], g * width + babies[k])
-                primes = [q for q in pair if lo <= q < hi and trial_division_is_prime(q)]
+                primes = [q for q in pair if q in in_range]
                 assert primes, (g, babies[k])
                 covered += primes
-        assert sorted(covered) == [q for q in range(lo, hi) if trial_division_is_prime(q)]
+        assert sorted(covered) == expected
 
     @pytest.mark.parametrize(
         "p, q, g, b", [(P_STAGE2_BELOW, 50021, 22, -799), (P_STAGE2_ABOVE, 100003, 43, 673)]
@@ -387,6 +428,16 @@ class TestPollardPm1:
         assert _pollard_pm1(m) == p
         assert factorize(m).factors == ((p, 1), (SAFE, 1))
 
+    def test_stage_2_splits_one_prime_past_2_times_10_to_the_5(self):
+        q = 499979
+        assert q == 216 * divprime.arithmetic._PM1_WIDTH + 1019
+        assert (P_STAGE2_FAR - 1) % q == 0 and 2 * 10**5 < q < divprime.arithmetic._PM1_BOUND2
+        m = P_STAGE2_FAR * SAFE
+        exponent = _pm1_plan()[0]
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
+        assert _pollard_pm1(m) == P_STAGE2_FAR
+        assert factorize(m).factors == ((SAFE, 1), (P_STAGE2_FAR, 1))
+
     def test_primes_met_at_different_giant_steps_split_m(self):
         # 50021 is met at giant step 22, before 100003 at 43.
         m = P_STAGE2_BELOW * P_STAGE2_ABOVE
@@ -397,10 +448,38 @@ class TestPollardPm1:
         assert _pollard_pm1(SAFE * SAFE_TOO) == 1
         assert factorize(SAFE * SAFE_TOO).factors == ((SAFE, 1), (SAFE_TOO, 1))
 
-    def test_two_smooth_primes_give_m_and_go_on_to_rho(self):
+    def test_two_smooth_primes_come_apart_in_stage_1(self, monkeypatch):
+        # Stage 1 catches both primes at once.  Raised one prime power at a
+        # time, the base reaches P_STAGE1_TOO's order at 43^2, the power of
+        # the largest prime of P_STAGE1_TOO - 1, before P_STAGE1's.
         m = P_STAGE1 * P_STAGE1_TOO
-        assert _pollard_pm1(m) == m
+        exponent, powers, *_ = _pm1_plan()
+        bound = divprime.arithmetic._TRIAL_BOUND
+        primes = sieve_primes(bound)
+        assert powers == tuple(max(p**k for k in range(1, 14) if p**k < bound) for p in primes)
+        assert exponent == prod(powers)
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == m
+        assert _pollard_pm1(m) == P_STAGE1_TOO
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
         assert factorize(m).factors == ((P_STAGE1_TOO, 1), (P_STAGE1, 1))
+
+    def test_primes_met_in_one_stage_2_term_give_m_and_go_on_to_rho(self, monkeypatch):
+        # One term V_5 - v_251 covers 11299 = 5W - 251 and 11801 = 5W + 251,
+        # so stage 2 catches both primes at once and only rho splits m.
+        width = divprime.arithmetic._PM1_WIDTH
+        assert (11299, 11801) == (5 * width - 251, 5 * width + 251)
+        assert (P_TERM - 1) % 11299 == 0 and (P_TERM_TOO - 1) % 11801 == 0
+        m = P_TERM * P_TERM_TOO
+        exponent = _pm1_plan()[0]
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
+        assert _pollard_pm1(m) == m
+        rho_inputs = []
+        rho = divprime.arithmetic._pollard_rho
+        monkeypatch.setattr(
+            divprime.arithmetic, "_pollard_rho", lambda m: rho_inputs.append(m) or rho(m)
+        )
+        assert factorize(m).factors == ((P_TERM_TOO, 1), (P_TERM, 1))
+        assert rho_inputs == [m]
 
     def test_base_3_splits_off_mersenne_61(self):
         # Base 2 has order 89 modulo 2^89 - 1 and 61 modulo 2^61 - 1, so it
@@ -430,6 +509,89 @@ class TestPollardPm1:
         for p, e in expected.items():
             n *= p**e
         assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
+def brent_reference(n: int) -> tuple[int, list[int], bool]:
+    """Brent's rho as _pollard_rho walks it, with one |x - y| per modular
+    reduction and no step budget: the divisor found, the first argument of
+    each gcd with n in order, and whether the walk backtracked after a
+    block's product reached 0 modulo n."""
+    arguments, backtracked = [], False
+    c = 0
+    while True:
+        y, c = 2, c + 1
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                arguments.append(q)
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            backtracked = True
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                arguments.append(abs(x - ys))
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, arguments, backtracked
+
+
+def up_to_sign(a: int, n: int) -> int:
+    """The least of a and -a modulo n, which fixes gcd(a, n)."""
+    return min(a % n, -a % n)
+
+
+@cache
+def rho_semiprimes() -> tuple[int, ...]:
+    """36451 * 367501, whose first walk backtracks into a degenerate cycle,
+    and 40 seeded products of two distinct primes in [10^4, 10^6)."""
+    rng = random.Random(35)
+    found = [36451 * 367501]
+    while len(found) < 41:
+        p, q = (rng.randrange(10**4, 10**6) for _ in range(2))
+        while not trial_division_is_prime(p):
+            p += 1
+        while not trial_division_is_prime(q):
+            q += 1
+        if p != q:
+            found.append(p * q)
+    return tuple(found)
+
+
+class TestRhoParity:
+    """_pollard_rho multiplies four differences per reduction, with a tail
+    of up to three, and drops their sign, which no gcd with n can see: it
+    takes the gcds of the one-difference walk, up to sign, and returns its
+    divisor.  Strides of 1 and 2 steps run the tail alone on every walk."""
+
+    def test_same_gcds_as_one_difference_per_reduction(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            divprime.arithmetic, "gcd", lambda a, b: seen.append((a, b)) or gcd(a, b)
+        )
+        for n in rho_semiprimes():
+            seen.clear()
+            divisor = divprime.arithmetic._pollard_rho(n)
+            expected, arguments, _ = brent_reference(n)
+            assert divisor == expected, n
+            assert all(b == n for _, b in seen)
+            assert [up_to_sign(a, n) for a, _ in seen] == [up_to_sign(a, n) for a in arguments]
+
+    def test_cases_take_the_backtrack(self):
+        backtracked = [brent_reference(n)[2] for n in rho_semiprimes()]
+        assert backtracked[0] and sum(backtracked) >= 2
 
 
 class TestRhoBudget:

@@ -12,9 +12,11 @@ largest power below 10^4 of every prime below it in one ``pow``, and again
 one power at a time when that catches every prime at once, and stage 2
 tries each prime in [10^4, 5*10^5) as the one large factor of p - 1, by
 baby and giant steps that cover two primes with one product where they can
-(Montgomery 1987).  What p-1 leaves goes to Brent's variant of Pollard rho
-(Brent 1980), which multiplies four differences per reduction and gives up
-with :class:`FactorBudgetError` after 2^25 steps rather than run without end.
+(Montgomery 1987), and again one term at a time at a giant step that
+catches every prime at once.  What p-1 leaves goes to Brent's variant of
+Pollard rho (Brent 1980), which multiplies four differences per reduction
+and gives up with :class:`FactorBudgetError` after 2^25 steps rather than
+run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13
@@ -31,6 +33,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, compress, groupby, starmap
 from math import gcd, isqrt, prod
+from operator import itemgetter
 
 __all__ = [
     "FactorBudgetError",
@@ -40,6 +43,7 @@ __all__ = [
     "exact_half",
     "factorize",
     "is_prime",
+    "radix_factors",
 ]
 
 # Trial division strips primes below this; p-1 and Pollard rho handle the
@@ -240,7 +244,9 @@ def _pollard_pm1(m: int) -> int:
     members of a prime pair.  Each giant step multiplies the terms of its
     row of _pm1_plan's table, reducing modulo m once per run of 8, and
     takes one gcd, so two primes of m caught at different giant steps
-    come out one at a time."""
+    come out one at a time.  A giant step whose gcd is m takes its terms
+    again one at a time, with a gcd after each, and returns the first gcd
+    past 1, which is m only when one term holds every prime of m."""
     exponent, powers, coprime, table = _pm1_plan()
     x = pow(_PM1_BASE, exponent, m)
     g = gcd(x - 1, m)
@@ -269,6 +275,10 @@ def _pollard_pm1(m: int) -> int:
                 product *= giant + minus[k]
             product %= m
         g = gcd(product, m)
+        if g == m:  # every prime of m met at this giant step: its terms one at a time
+            for k in chain.from_iterable(runs):
+                if (g := gcd(giant + minus[k], m)) != 1:
+                    break
         if g != 1:
             return g
         giant, previous = (giant * step - previous) % m, giant
@@ -386,10 +396,23 @@ def divisor_count(f: Factorization) -> int:
     return prod(e + 1 for _, e in f.factors)
 
 
+def radix_factors(f: Factorization) -> list[tuple[int, int]]:
+    """f's (prime, exponent) pairs in the order ``divisors`` takes them: by
+    ascending exponent, ties by ascending prime."""
+    return sorted(f.factors, key=itemgetter(1))  # stable: f.factors is by prime
+
+
 def divisors(f: Factorization) -> list[int]:
-    """All positive divisors of f.n in strictly ascending order."""
+    """All positive divisors of f.n, each once, in mixed-radix order: with
+    (p_j, e_j) the pairs of ``radix_factors(f)``, the divisor at index i is
+    the product of p_j^(i_j), where i_j is digit j of i in the mixed radix
+    whose j-th digit runs to e_j and p_0's digit is least significant.
+    So 1 comes first and n last, and the largest exponent's prime sets the
+    most significant digit."""
     divs = [1]
-    for p, e in f.factors:
-        divs += [d * p**i for i in range(1, e + 1) for d in divs]
-    divs.sort()
+    for p, e in radix_factors(f):
+        power = divs
+        for _ in range(e):  # append the divisors so far times p, p^2, ..., p^e
+            power = [d * p for d in power]
+            divs += power
     return divs

@@ -268,9 +268,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     graph = build_graph(factorize(args.n), cap=args.cap)
+    vertices = sorted(graph.vertices)
     if args.style == "dot":
         print(f"graph divprime_{graph.n} {{")
-        for v in graph.vertices:
+        for v in vertices:
             print(f"  {v};")
         for u, v in edges(graph):
             print(f"  {u} -- {v};")
@@ -278,7 +279,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     else:
         data = {
             "n": str(graph.n),
-            "vertices": [str(v) for v in graph.vertices],
+            "vertices": [str(v) for v in vertices],
             "edges": [[str(u), str(v)] for u, v in edges(graph)],
         }
         print(json.dumps(data, indent=2))

@@ -1,11 +1,13 @@
 """Brute-force ground truth on the explicitly built divisor prime graph.
 
-Vertices are the divisors of n in ascending order; two distinct divisors
-are adjacent exactly when their gcd is 1 (the loop at divisor 1 is
-dropped).  The graph is built explicitly, with one adjacency row (an int
-bitmask over the vertices) per prime support, shared by every divisor with
-that support: the AND, over the support's primes, of one mask per prime
-marking the divisors that prime does not divide.  Every index is computed
+Vertices are the divisors of n in the mixed-radix order of
+``arithmetic.divisors``; two distinct divisors are adjacent exactly when
+their gcd is 1 (the loop at divisor 1 is dropped).  The graph is built
+explicitly, with one adjacency row (an int bitmask over the vertices) per
+prime support, shared by every divisor with that support: the AND, over
+the support's primes, of one mask per prime marking the divisors that
+prime does not divide, which in that order are periodic runs of ones.
+``edges`` lists the edges by ascending value.  Every index is computed
 from its defining sum, with distances found by breadth-first search from
 every vertex (``_bfs_sums`` states how).  Nothing here reads
 ``formulas.py`` or assumes a diameter bound or any other closed-form
@@ -18,12 +20,12 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
-from operator import and_, mul, rshift
+from itertools import compress, islice, repeat
+from math import lcm
+from operator import and_, eq, is_, mul, rshift
 from struct import pack
 
-from .arithmetic import Factorization, divisor_count, divisors, exact_half
+from .arithmetic import Factorization, divisor_count, divisors, exact_half, radix_factors
 from .report import ORACLE, IndexReport, _check_handshake
 
 __all__ = [
@@ -40,9 +42,9 @@ __all__ = [
 #: Largest divisor count for which explicit divisor enumeration (and hence
 #: graph construction) is allowed unless the caller overrides it.  Measured on
 #: a 2-core Xeon with Python 3.11, median of twelve runs, build_graph and then
-#: oracle_report: the squarefree 2*3*...*37, D = 4096, 3.7 ms and 16.8 ms;
-#: exponents (5,3,2,1^6), D = 4608, 2.4 ms and 5.9 ms; (3^6), D = 4096,
-#: 2.1 ms and 3.0 ms.  Squarefree graphs, whose rows are all distinct, so that
+#: oracle_report: the squarefree 2*3*...*37, D = 4096, 1.1 ms and 16.4 ms;
+#: exponents (5,3,2,1^6), D = 4608, 0.5 ms and 4.6 ms; (3^6), D = 4096,
+#: 0.4 ms and 2.8 ms.  Squarefree graphs, whose rows are all distinct, so that
 #: every divisor's first BFS level is summed on its own, are the slowest.
 DEFAULT_CAP = 5000
 
@@ -55,6 +57,15 @@ DEFAULT_CAP = 5000
 #: (IQR 1.09-1.20), as it costs a few passes over the rows per graph, and
 #: planes on every graph, for the per-source sums too, 1.04x (IQR 1.02-1.08).
 _PLANE_MIN = 64
+
+#: Fewest vertices a graph needs for ``_bfs_sums`` to key its rows by object
+#: rather than by value: one popcount and one group of sources per row object,
+#: found by ``id``, in place of a popcount per vertex and a hash of every row
+#: in a ``Counter``.  Measured on the same machine, _bfs_sums alone, min of 5,
+#: by object against by value: at D = 8192 and up, (3^6,1) x0.93, (3^5,2,2)
+#: x0.84, squarefree x0.88-1.06 at 8192 and x0.96 at 16384, (3^8) x0.49; at
+#: D = 4096-4608 it loses, (3^6) x1.08, squarefree x1.08, (5,3,2,1^6) x1.11.
+_SHARED_MIN = 8192
 
 
 #: For ``_bit_planes``: table k maps a byte to b"1" if its bit k is set, else b"0".
@@ -75,9 +86,10 @@ class CapExceededError(ValueError):
 
 class DivisorGraph(namedtuple("DivisorGraph", "n vertices adjacency")):
     """Explicit divisor prime graph of the int n: the tuple of its divisors
-    in ascending order, and a symmetric adjacency tuple, row i an int
-    bitmask over vertex indices.  Divisors with the same prime support
-    share one row object, so there are 2^omega(n) rows in memory."""
+    in the mixed-radix order of ``arithmetic.divisors`` (1 first, n last,
+    not ascending), and a symmetric adjacency tuple, row i an int bitmask
+    over vertex indices.  Divisors with the same prime support share one
+    row object, so there are 2^omega(n) rows in memory."""
 
     __slots__ = ()
 
@@ -97,19 +109,25 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     if cap is not None and (count := divisor_count(f)) > cap:
         raise CapExceededError(f.n, count, cap)
     verts = divisors(f)
-    # A divisor's support id (sid) has bit j set when the j-th prime divides it,
-    # and indexes its gcd with the radical among the squarefree divisors, made by
-    # doubling.  ANDing the complement of plane j of the sids into each row so far
-    # appends the rows of the sids with bit j set: row_of[sid] is that support's.
-    squarefree = [1]
-    for p, _ in f.factors:
-        squarefree += [s * p for s in squarefree]
-    sid_of = dict(zip(squarefree, range(len(squarefree))))
-    sids = list(map(sid_of.__getitem__, map(gcd, verts, repeat(squarefree[-1]))))
-    everything = (1 << len(verts)) - 1
-    row_of = [everything]
-    for divided in _bit_planes(sids):
-        row_of += [*map((everything ^ divided).__and__, row_of)]
+    count = len(verts)
+    everything = (1 << count) - 1
+    # Vertex i's exponent of the j-th prime of radix_factors(f) is digit j of
+    # i in the mixed radix of ``divisors``, so the vertices that prime does not
+    # divide are runs of `size` ones, one run every size * (e + 1) bits: one
+    # run doubled out to D bits or past, and cut to D by the AND with
+    # row_of[0].  A divisor's support id (sid) has bit j set when the j-th
+    # prime divides it, made by the same doubling, and ANDing mask j into each
+    # row so far appends the rows of the sids with bit j set.
+    sids, row_of, size, bit = [0], [everything], 1, 1
+    for _, e in radix_factors(f):
+        mask, width = (1 << size) - 1, size * (e + 1)
+        while width < count:
+            mask |= mask << width
+            width += width
+        row_of += [mask & row for row in row_of]
+        sids += [s | bit for s in sids] * e
+        size *= e + 1
+        bit += bit
     # A list first: a tuple of a map grows by resizing, +1.25 MiB peak RSS.
     rows = list(map(row_of.__getitem__, sids))
     rows[0] ^= 1  # divisor 1 is coprime to itself; drop the loop
@@ -118,23 +136,24 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
 
 def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
     """Adjacent divisor pairs (u, v) with u < v, ascending; for export."""
-    for i, row in enumerate(g.adjacency):
-        upper = row >> (i + 1)
-        while upper:
-            low = upper & -upper
-            yield g.vertices[i], g.vertices[i + low.bit_length()]
-            upper ^= low
+    pairs = []
+    for u, row in zip(g.vertices, g.adjacency):
+        while row:
+            low = row & -row
+            if u < (v := g.vertices[low.bit_length() - 1]):
+                pairs.append((u, v))
+            row ^= low
+    return iter(sorted(pairs))
 
 
 def _bit_planes(values: list[int]) -> list[int]:
-    """Bit-sliced values: plane b marks the indices i where values[i] has
-    bit b set.  Packed once, one byte a value below 256 (every support id at
-    omega <= 8, every degree below 256) and eight little-endian bytes
-    otherwise, plane b is byte b // 8 of every value, last index first, in
-    one strided slice, translated to b"1" where bit b % 8 is set and b"0"
-    elsewhere and read by ``int(..., 2)`` (base 2 has no digit limit).  Every
-    value must be below 2^64, as degrees and support ids are, or ``pack``
-    raises ``struct.error``."""
+    """Bit-sliced values, the degree planes of ``_bfs_sums``: plane b marks
+    the indices i where values[i] has bit b set.  Packed once, one byte a
+    value below 256 and eight little-endian bytes otherwise, plane b is byte
+    b // 8 of every value, last index first, in one strided slice, translated
+    to b"1" where bit b % 8 is set and b"0" elsewhere and read by
+    ``int(..., 2)`` (base 2 has no digit limit).  Every value must be below
+    2^64, as degrees are, or ``pack`` raises ``struct.error``."""
     top = max(values)
     width = 1 if top < 256 else 8
     packed = bytes(values) if width == 1 else pack(f"<{len(values)}Q", *values)
@@ -185,12 +204,15 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
 
     A graph of ``_PLANE_MIN`` or more vertices with no loop, as every one
     from ``build_graph`` is, first takes the per-row pass: it groups its
-    rows by value in a ``Counter``, sums each covering row's D_1 once, from
-    degree planes (Biham 1997) built by ``_bit_planes``, plane b marking the
+    rows in a ``Counter``, by value, or from ``_SHARED_MIN`` vertices by
+    object (``id``), which also takes each row object's degree once.  Equal
+    objects have equal values, so a graph whose equal rows are distinct
+    objects only gets smaller groups.  It sums each covering row's D_1 once,
+    from degree planes (Biham 1997) built by ``_bit_planes``, plane b marking the
     vertices whose degree has bit b set, so that D_1 is the sum of
     popcount(R & plane_b) << b over b, and adds its sums times the number of
-    sources that share it.  Each source of every other row is found by
-    ``tuple.index`` and left to the per-source path.
+    sources that share it.  The sources of every other row, found by one
+    scan for that row, by value or by object, go to the per-source path.
 
     The per-source path takes every source of a smaller graph or of a graph
     with a loop, in order, and those the per-row pass leaves.  A loop-free
@@ -200,7 +222,13 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
-    degrees = list(map(int.bit_count, adjacency))
+    by_object = count >= _SHARED_MIN
+    if by_object:  # one popcount per row object
+        row_at = dict(zip(map(id, adjacency), adjacency))
+        degree_at = {key: row.bit_count() for key, row in row_at.items()}
+        degrees = list(map(degree_at.__getitem__, map(id, adjacency)))
+    else:
+        degrees = list(map(int.bit_count, adjacency))
     total = sum(degrees)
     pairs = [0] * max(count + 1, 3)  # pair counts by distance, to D and to 2 at least
     eccentricities = [2] * count  # a covering row's sources keep this
@@ -213,8 +241,11 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     ):
         planes = _bit_planes(degrees)[::-1]
         sources = []
-        for row, size in Counter(adjacency).items():
-            deg_r = row.bit_count()
+        for key, size in Counter(map(id, adjacency) if by_object else adjacency).items():
+            if by_object:
+                row, deg_r = row_at[key], degree_at[key]
+            else:
+                row, deg_r = key, key.bit_count()
             if (
                 0 < deg_r < count - 1
                 and row | adjacency[(row & -row).bit_length() - 1] == everything
@@ -227,10 +258,8 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 gutman += size * deg_r * weighted
                 schultz += size * weighted
                 continue
-            source = -1
-            for _ in range(size):
-                source = adjacency.index(row, source + 1)
-                sources.append((source, deg_r))
+            same = map(is_ if by_object else eq, adjacency, repeat(row))
+            sources += zip(islice(compress(range(count), same), size), repeat(deg_r))
 
     for source, deg_s in sources:
         frontier = adjacency[source]

@@ -22,6 +22,7 @@ from divprime.arithmetic import (
     factorize,
     gcd,
     is_prime,
+    radix_factors,
 )
 from divprime.cli import main
 
@@ -112,23 +113,53 @@ class TestFactorizationInvariants:
 
 class TestDivisors:
     def test_twelve(self):
-        assert divisors(factorize(12)) == [1, 2, 3, 4, 6, 12]
+        assert divisors(factorize(12)) == [1, 3, 2, 6, 4, 12]
 
     def test_one(self):
         assert divisors(factorize(1)) == [1]
 
     def test_thirty(self):
-        assert divisors(factorize(30)) == [1, 2, 3, 5, 6, 10, 15, 30]
+        assert divisors(factorize(30)) == [1, 2, 3, 6, 5, 10, 15, 30]
+
+    def test_seven_hundred_twenty(self):
+        # 720 = 2^4 * 3^2 * 5: 5 (exponent 1) is the least significant
+        # digit, then 3 (exponent 2), then 2 (exponent 4).
+        assert divisors(factorize(720)) == [
+            *(1, 5, 3, 15, 9, 45),
+            *(2, 10, 6, 30, 18, 90),
+            *(4, 20, 12, 60, 36, 180),
+            *(8, 40, 24, 120, 72, 360),
+            *(16, 80, 48, 240, 144, 720),
+        ]
 
     @given(st.integers(min_value=1, max_value=20000))
     def test_matches_count_and_is_sorted(self, n):
+        # Sorted, the divisors are strictly ascending: each comes once.
         f = factorize(n)
         divs = divisors(f)
         assert len(divs) == divisor_count(f)
-        assert all(a < b for a, b in zip(divs, divs[1:]))
+        ascending = sorted(divs)
+        assert all(a < b for a, b in zip(ascending, ascending[1:]))
         assert divs[0] == 1
         assert divs[-1] == n
         assert all(n % d == 0 for d in divs)
+
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_mixed_radix_order(self, n):
+        # A permutation of the divisors found by trial division up to the
+        # square root, and the divisor at index i has, for the j-th prime
+        # of radix_factors, the exponent that is digit j of i.
+        f = factorize(n)
+        low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        assert sorted(divisors(f)) == sorted({*low, *(n // d for d in low)})
+        order = radix_factors(f)
+        assert order == sorted(f.factors, key=lambda pe: (pe[1], pe[0]))
+        for i, d in enumerate(divisors(f)):
+            expected = 1
+            for p, e in order:
+                i, digit = divmod(i, e + 1)
+                expected *= p**digit
+            assert d == expected
 
 
 class TestDivisorCount:
@@ -480,6 +511,22 @@ class TestPollardPm1:
         )
         assert factorize(m).factors == ((P_TERM_TOO, 1), (P_TERM, 1))
         assert rho_inputs == [m]
+
+    def test_primes_met_at_one_giant_step_come_apart_by_its_terms(self, monkeypatch):
+        # 13709 = 6W - 151 divides p - 1 and 13267 = 6W - 593 divides q - 1:
+        # two terms of giant step 6, whose product holds both primes.  Taken
+        # one at a time, the term for b = 151 comes first and gives p.
+        p, q = 7507843523, 9105115567
+        width = divprime.arithmetic._PM1_WIDTH
+        assert (13709, 13267) == (6 * width - 151, 6 * width - 593)
+        assert trial_division_is_prime(13709) and trial_division_is_prime(13267)
+        assert (p - 1) % 13709 == 0 and (q - 1) % 13267 == 0
+        m = p * q
+        exponent = _pm1_plan()[0]
+        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
+        assert _pollard_pm1(m) == p
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
+        assert factorize(m).factors == ((p, 1), (q, 1))
 
     def test_base_3_splits_off_mersenne_61(self):
         # Base 2 has order 89 modulo 2^89 - 1 and 61 modulo 2^61 - 1, so it

@@ -335,8 +335,9 @@ class TestExport:
             degree[u] += 1
             degree[v] += 1
         g = build_graph(factorize(30))
+        assert vertices == sorted(g.vertices)
         assert len(edge_list) == sum(1 for _ in edges(g))
-        assert [degree[v] for v in vertices] == [
+        assert [degree[v] for v in g.vertices] == [
             row.bit_count() for row in g.adjacency
         ]
 

@@ -75,7 +75,7 @@ PINNED_REPRS = {
     "Factorization": 'Factorization(n=12, factors=((2, 2), (3, 1)))',
     "IndexReport-closed_form": "IndexReport(n=12, divisor_count=6, edge_count=7, degree_sum=14, wiener=23, harary=Fraction(11, 1), hyper_wiener=31, zagreb1=44, zagreb2=57, gutman=95, schultz=96, eccentric_connectivity=23, source='closed_form', diameter=None)",
     "IndexReport-oracle": "IndexReport(n=12, divisor_count=6, edge_count=7, degree_sum=14, wiener=23, harary=Fraction(11, 1), hyper_wiener=31, zagreb1=44, zagreb2=57, gutman=95, schultz=96, eccentric_connectivity=23, source='oracle', diameter=2)",
-    "DivisorGraph": 'DivisorGraph(n=12, vertices=(1, 2, 3, 4, 6, 12), adjacency=(62, 5, 11, 5, 1, 1))',
+    "DivisorGraph": 'DivisorGraph(n=12, vertices=(1, 3, 2, 6, 4, 12), adjacency=(62, 21, 3, 1, 3, 1))',
     "DistanceSummary": 'DistanceSummary(pairs_at_distance={1: 7, 2: 8}, eccentricities=(1, 2, 2, 2, 2, 2), diameter=2)',
     "VerificationResult-verified": "VerificationResult(n=12, status='verified', closed_form=IndexReport(n=12, divisor_count=6, edge_count=7, degree_sum=14, wiener=23, harary=Fraction(11, 1), hyper_wiener=31, zagreb1=44, zagreb2=57, gutman=95, schultz=96, eccentric_connectivity=23, source='closed_form', diameter=None), oracle=IndexReport(n=12, divisor_count=6, edge_count=7, degree_sum=14, wiener=23, harary=Fraction(11, 1), hyper_wiener=31, zagreb1=44, zagreb2=57, gutman=95, schultz=96, eccentric_connectivity=23, source='oracle', diameter=2), oracle_skipped_reason=None, elapsed_closed_form=0.5, elapsed_oracle=0.25, mismatches=())",
     "VerificationResult-oracle_skipped": "VerificationResult(n=12, status='oracle_skipped', closed_form=IndexReport(n=12, divisor_count=6, edge_count=7, degree_sum=14, wiener=23, harary=Fraction(11, 1), hyper_wiener=31, zagreb1=44, zagreb2=57, gutman=95, schultz=96, eccentric_connectivity=23, source='closed_form', diameter=None), oracle=None, oracle_skipped_reason='divisor count 6 exceeds cap 4', elapsed_closed_form=0.5, elapsed_oracle=None, mismatches=())",

@@ -43,7 +43,6 @@ __all__ = [
     "exact_half",
     "factorize",
     "is_prime",
-    "radix_factors",
 ]
 
 # Trial division strips primes below this; p-1 and Pollard rho handle the
@@ -396,7 +395,7 @@ def divisor_count(f: Factorization) -> int:
     return prod(e + 1 for _, e in f.factors)
 
 
-def radix_factors(f: Factorization) -> list[tuple[int, int]]:
+def _radix_factors(f: Factorization) -> list[tuple[int, int]]:
     """f's (prime, exponent) pairs in the order ``divisors`` takes them: by
     ascending exponent, ties by ascending prime."""
     return sorted(f.factors, key=itemgetter(1))  # stable: f.factors is by prime
@@ -404,13 +403,13 @@ def radix_factors(f: Factorization) -> list[tuple[int, int]]:
 
 def divisors(f: Factorization) -> list[int]:
     """All positive divisors of f.n, each once, in mixed-radix order: with
-    (p_j, e_j) the pairs of ``radix_factors(f)``, the divisor at index i is
+    (p_j, e_j) the pairs of ``_radix_factors(f)``, the divisor at index i is
     the product of p_j^(i_j), where i_j is digit j of i in the mixed radix
     whose j-th digit runs to e_j and p_0's digit is least significant.
     So 1 comes first and n last, and the largest exponent's prime sets the
     most significant digit."""
     divs = [1]
-    for p, e in radix_factors(f):
+    for p, e in _radix_factors(f):
         power = divs
         for _ in range(e):  # append the divisors so far times p, p^2, ..., p^e
             power = [d * p for d in power]

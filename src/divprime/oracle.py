@@ -20,12 +20,12 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import repeat
 from math import lcm
-from operator import and_, eq, is_, mul, rshift
+from operator import and_, mul, rshift
 from struct import pack
 
-from .arithmetic import Factorization, divisor_count, divisors, exact_half, radix_factors
+from .arithmetic import Factorization, _radix_factors, divisor_count, divisors, exact_half
 from .report import ORACLE, IndexReport, _check_handshake
 
 __all__ = [
@@ -57,15 +57,6 @@ DEFAULT_CAP = 5000
 #: (IQR 1.09-1.20), as it costs a few passes over the rows per graph, and
 #: planes on every graph, for the per-source sums too, 1.04x (IQR 1.02-1.08).
 _PLANE_MIN = 64
-
-#: Fewest vertices a graph needs for ``_bfs_sums`` to key its rows by object
-#: rather than by value: one popcount and one group of sources per row object,
-#: found by ``id``, in place of a popcount per vertex and a hash of every row
-#: in a ``Counter``.  Measured on the same machine, _bfs_sums alone, min of 5,
-#: by object against by value: at D = 8192 and up, (3^6,1) x0.93, (3^5,2,2)
-#: x0.84, squarefree x0.88-1.06 at 8192 and x0.96 at 16384, (3^8) x0.49; at
-#: D = 4096-4608 it loses, (3^6) x1.08, squarefree x1.08, (5,3,2,1^6) x1.11.
-_SHARED_MIN = 8192
 
 
 #: For ``_bit_planes``: table k maps a byte to b"1" if its bit k is set, else b"0".
@@ -111,7 +102,7 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     verts = divisors(f)
     count = len(verts)
     everything = (1 << count) - 1
-    # Vertex i's exponent of the j-th prime of radix_factors(f) is digit j of
+    # Vertex i's exponent of the j-th prime of _radix_factors(f) is digit j of
     # i in the mixed radix of ``divisors``, so the vertices that prime does not
     # divide are runs of `size` ones, one run every size * (e + 1) bits: one
     # run doubled out to D bits or past, and cut to D by the AND with
@@ -119,7 +110,7 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
     # prime divides it, made by the same doubling, and ANDing mask j into each
     # row so far appends the rows of the sids with bit j set.
     sids, row_of, size, bit = [0], [everything], 1, 1
-    for _, e in radix_factors(f):
+    for _, e in _radix_factors(f):
         mask, width = (1 << size) - 1, size * (e + 1)
         while width < count:
             mask |= mask << width
@@ -135,15 +126,17 @@ def build_graph(f: Factorization, cap: int | None = DEFAULT_CAP) -> DivisorGraph
 
 
 def edges(g: DivisorGraph) -> Iterator[tuple[int, int]]:
-    """Adjacent divisor pairs (u, v) with u < v, ascending; for export."""
-    pairs = []
-    for u, row in zip(g.vertices, g.adjacency):
+    """Adjacent divisor pairs (u, v) with u < v, ascending; for export.
+    Lazy: the vertices by value, each with its higher neighbours sorted."""
+    vertices = g.vertices
+    for i in sorted(range(len(vertices)), key=vertices.__getitem__):
+        u, row, above = vertices[i], g.adjacency[i], []
         while row:
             low = row & -row
-            if u < (v := g.vertices[low.bit_length() - 1]):
-                pairs.append((u, v))
+            if u < (v := vertices[low.bit_length() - 1]):
+                above.append(v)
             row ^= low
-    return iter(sorted(pairs))
+        yield from zip(repeat(u), sorted(above))
 
 
 def _bit_planes(values: list[int]) -> list[int]:
@@ -204,15 +197,12 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
 
     A graph of ``_PLANE_MIN`` or more vertices with no loop, as every one
     from ``build_graph`` is, first takes the per-row pass: it groups its
-    rows in a ``Counter``, by value, or from ``_SHARED_MIN`` vertices by
-    object (``id``), which also takes each row object's degree once.  Equal
-    objects have equal values, so a graph whose equal rows are distinct
-    objects only gets smaller groups.  It sums each covering row's D_1 once,
-    from degree planes (Biham 1997) built by ``_bit_planes``, plane b marking the
+    rows by value in a ``Counter``, sums each covering row's D_1 once, from
+    degree planes (Biham 1997) built by ``_bit_planes``, plane b marking the
     vertices whose degree has bit b set, so that D_1 is the sum of
     popcount(R & plane_b) << b over b, and adds its sums times the number of
-    sources that share it.  The sources of every other row, found by one
-    scan for that row, by value or by object, go to the per-source path.
+    sources that share it.  Each source of every other row is found by
+    ``tuple.index`` and left to the per-source path.
 
     The per-source path takes every source of a smaller graph or of a graph
     with a loop, in order, and those the per-row pass leaves.  A loop-free
@@ -222,13 +212,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     adjacency = g.adjacency
     count = len(adjacency)
     everything = (1 << count) - 1
-    by_object = count >= _SHARED_MIN
-    if by_object:  # one popcount per row object
-        row_at = dict(zip(map(id, adjacency), adjacency))
-        degree_at = {key: row.bit_count() for key, row in row_at.items()}
-        degrees = list(map(degree_at.__getitem__, map(id, adjacency)))
-    else:
-        degrees = list(map(int.bit_count, adjacency))
+    degrees = list(map(int.bit_count, adjacency))
     total = sum(degrees)
     pairs = [0] * max(count + 1, 3)  # pair counts by distance, to D and to 2 at least
     eccentricities = [2] * count  # a covering row's sources keep this
@@ -241,11 +225,8 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     ):
         planes = _bit_planes(degrees)[::-1]
         sources = []
-        for key, size in Counter(map(id, adjacency) if by_object else adjacency).items():
-            if by_object:
-                row, deg_r = row_at[key], degree_at[key]
-            else:
-                row, deg_r = key, key.bit_count()
+        for row, size in Counter(adjacency).items():
+            deg_r = row.bit_count()
             if (
                 0 < deg_r < count - 1
                 and row | adjacency[(row & -row).bit_length() - 1] == everything
@@ -258,8 +239,10 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 gutman += size * deg_r * weighted
                 schultz += size * weighted
                 continue
-            same = map(is_ if by_object else eq, adjacency, repeat(row))
-            sources += zip(islice(compress(range(count), same), size), repeat(deg_r))
+            source = -1
+            for _ in range(size):
+                source = adjacency.index(row, source + 1)
+                sources.append((source, deg_r))
 
     for source, deg_s in sources:
         frontier = adjacency[source]

@@ -16,13 +16,13 @@ from divprime.arithmetic import (
     _iroot,
     _pm1_plan,
     _pollard_pm1,
+    _radix_factors,
     divisor_count,
     divisors,
     exact_half,
     factorize,
     gcd,
     is_prime,
-    radix_factors,
 )
 from divprime.cli import main
 
@@ -148,11 +148,11 @@ class TestDivisors:
     def test_mixed_radix_order(self, n):
         # A permutation of the divisors found by trial division up to the
         # square root, and the divisor at index i has, for the j-th prime
-        # of radix_factors, the exponent that is digit j of i.
+        # of _radix_factors, the exponent that is digit j of i.
         f = factorize(n)
         low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
         assert sorted(divisors(f)) == sorted({*low, *(n // d for d in low)})
-        order = radix_factors(f)
+        order = _radix_factors(f)
         assert order == sorted(f.factors, key=lambda pe: (pe[1], pe[0]))
         for i, d in enumerate(divisors(f)):
             expected = 1

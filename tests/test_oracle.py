@@ -1222,6 +1222,16 @@ class TestSharedRows:
             tracemalloc.stop()
         assert peak <= 0.5 * 2**20
 
+    def test_equal_rows_as_distinct_objects(self):
+        # 720720 has 240 divisors over 2^6 shared rows.  Copied, every row
+        # is its own object but those CPython keeps one of, the ints to 256;
+        # the per-row pass groups rows by value, so the sums are the same.
+        g = graph_of(720720)
+        copied = g._replace(adjacency=tuple((row ^ 1) ^ 1 for row in g.adjacency))
+        assert copied.adjacency == g.adjacency
+        assert len({id(row) for row in copied.adjacency}) > 2 * 2**6
+        assert divprime.oracle._bfs_sums(copied) == divprime.oracle._bfs_sums(g)
+
 
 class TestMixedRadixOrder:
     """The vertices come in the order of ``divisors``, and ``edges`` lists
@@ -1242,103 +1252,6 @@ class TestMixedRadixOrder:
             if gcd(u, v) == 1
         ]
         assert list(edges(g)) == sorted(coprime)
-
-
-def rows_by_value_sums(g):
-    """``_bfs_sums`` of g, or its ValueError's message, with its rows keyed
-    by value, as on graphs below ``_SHARED_MIN`` vertices."""
-    with mock.patch.object(divprime.oracle, "_SHARED_MIN", len(g.adjacency) + 1):
-        return bfs_sums_or_message(g)
-
-
-def rows_by_object_sums(g):
-    """Likewise, with the rows keyed by object, as from ``_SHARED_MIN`` on."""
-    with mock.patch.object(divprime.oracle, "_SHARED_MIN", len(g.adjacency)):
-        return bfs_sums_or_message(g)
-
-
-def grouping_keys(g):
-    """The keys of the groups that the per-row pass of ``_bfs_sums`` on g
-    counts, in order: distinct rows, or ids of distinct row objects."""
-    counted = []
-
-    def counter(keys):
-        counted.append(Counter(keys))
-        return counted[-1]
-
-    with mock.patch.object(divprime.oracle, "Counter", counter):
-        divprime.oracle._bfs_sums(g)
-    (groups,) = counted
-    return list(groups)
-
-
-class TestRowsByObject:
-    """From ``_SHARED_MIN`` vertices a loop-free graph keys its rows by
-    object: one degree per row object, and one group of sources per object.
-    Equal objects have equal values, so it must agree with keying by value
-    and with the per-source path, also when equal rows are distinct objects."""
-
-    @given(rows_with_loops_and_dropped_arcs())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_rows_by_value(self, g):
-        # graph_from_edges makes every row its own object, twins' equal rows
-        # included, so every group holds one source.
-        assert rows_by_object_sums(g) == rows_by_value_sums(g) == per_source_sums(g)
-
-    @pytest.mark.parametrize(
-        ("n", "by_object"),
-        [
-            (6469693230, False),  # 2*3*...*29, D = 1024
-            (367567200, True),  # (5,3,2,1^4), D = 1152
-            (2327925600, True),  # (5,2,2,1^5), D = 1728
-        ],
-    )
-    def test_divisor_graphs_either_side_of_the_threshold(self, n, by_object):
-        g = graph_of(n)
-        with mock.patch.object(divprime.oracle, "_SHARED_MIN", 1152):
-            keys = grouping_keys(g)
-            assert divprime.oracle._bfs_sums(g) == rows_by_value_sums(g)
-        if by_object:
-            assert keys == list(dict.fromkeys(map(id, g.adjacency)))
-        else:
-            assert keys == list(dict.fromkeys(g.adjacency))
-
-    def test_equal_rows_as_distinct_objects(self):
-        # 720720 has 240 divisors over 2^6 shared rows.  Copied, every row
-        # is its own object but those CPython keeps one of, the ints to 256,
-        # so equal rows fall into several groups.
-        g = graph_of(720720)
-        copied = g._replace(adjacency=tuple((row ^ 1) ^ 1 for row in g.adjacency))
-        assert copied.adjacency == g.adjacency
-        objects = len({id(row) for row in copied.adjacency})
-        assert objects > 2 * 2**6
-        with mock.patch.object(divprime.oracle, "_SHARED_MIN", 64):
-            assert len(grouping_keys(g)) == 2**6
-            assert len(grouping_keys(copied)) == objects
-            assert divprime.oracle._bfs_sums(copied) == divprime.oracle._bfs_sums(g)
-        assert divprime.oracle._bfs_sums(g) == rows_by_value_sums(copied)
-
-    def test_an_omega_8_grid_graph_against_the_per_source_path(self):
-        # Exponents (3^4, 2^4), D = 20736, past the threshold unpatched.
-        g = graph_of((2 * 3 * 5 * 7) ** 3 * (11 * 13 * 17 * 19) ** 2)
-        assert len(g.vertices) == 20736 >= divprime.oracle._SHARED_MIN
-        assert grouping_keys(g) == list(dict.fromkeys(map(id, g.adjacency)))
-        assert divprime.oracle._bfs_sums(g) == per_source_sums(g)
-
-    def test_memory_at_the_smallest_graph(self):
-        # Squarefree with D = 8192, the threshold: no two divisors share a
-        # row, so the two dicts keyed by the rows' ids and the Counter of
-        # them each have an entry per source, near 1.6 MiB together with the
-        # degrees.  A copy of every 8192-bit row would add 8 MiB.
-        g = graph_of(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41)
-        assert len(g.vertices) == divprime.oracle._SHARED_MIN
-        tracemalloc.start()
-        try:
-            oracle_report(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 2**20
 
 
 class TestStructuralInvariants:

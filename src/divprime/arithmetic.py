@@ -5,23 +5,31 @@ here: the closed forms read only the prime exponents, the brute-force graph
 oracle enumerates the actual divisors.  Plain Python ints are used
 throughout, so every value is exact at any size.
 
-Factorization runs four stages.  Trial division strips the primes below
-10^4.  Each composite cofactor left is split as a perfect power if it is
-one, else by Pollard's p-1 method (Pollard 1974): stage 1 raises 3 to the
-largest power below 10^4 of every prime below it in one ``pow``, and again
-one power at a time when that catches every prime at once, and stage 2
-tries each prime in [10^4, 5*10^5) as the one large factor of p - 1, by
-baby and giant steps that cover two primes with one product where they can
-(Montgomery 1987), and again one term at a time at a giant step that
-catches every prime at once.  What p-1 leaves goes to Brent's variant of
+Factorization runs in stages.  Trial division strips the primes below
+10^4.  Each composite cofactor m left is split as a perfect power if it
+is one, else, from psi_13 (about 3.3e24), by a Miller split: the gcd of m
+with x - 1 for x = a^d, m - 1 = 2^s * d, and each of its squarings, over
+the first twenty prime bases a, which takes apart in milliseconds the
+Carmichael numbers built to pass Miller-Rabin on the bases to 43
+(Arnault 1995).  Else it is split by Pollard's p-1 method (Pollard 1974):
+stage 1 raises 3 to the largest power below 10^4 of every prime below it
+in one ``pow``, and again one power at a time when that catches every
+prime at once, and stage 2 tries each prime in [10^4, 5*10^5) as the one
+large factor of p - 1, by baby and giant steps that cover two primes with
+one product where they can (Montgomery 1987), and again one term at a
+time at a giant step that catches every prime at once.  What p-1 leaves goes to Brent's variant of
 Pollard rho (Brent 1980), which multiplies four differences per reduction
 and gives up with :class:`FactorBudgetError` after 2^25 steps rather than
 run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
-there it is Miller-Rabin with the bases proven for n's size below psi_13
-(about 3.3e24), so its cost follows that size; past psi_13 all fourteen
-bases give a deterministic test that is not proven.
+there it is Miller-Rabin with the bases proven for n's size below psi_13,
+so its cost follows that size; past psi_13 it is BPSW, Miller-Rabin to
+base 2 and a strong Lucas test with Selfridge's parameters (Baillie and
+Wagstaff 1980), not proven but with no known counterexample.
+
+``_factorize_range`` factors a run of consecutive integers for ``verify``,
+dividing each small prime out of its multiples in a block of them at once.
 
 All functions are pure and all returned values immutable, so they are safe
 to share across threads or worker processes.
@@ -30,6 +38,7 @@ to share across threads or worker processes.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain, compress, groupby, starmap
 from math import gcd, isqrt, prod
@@ -77,16 +86,22 @@ _RHO_BUDGET = 1 << 25
 # below).  Below each bound, every odd composite fails the test for one of
 # the first k prime bases: the bounds are the least strong pseudoprimes to
 # those bases, psi_k (OEIS A014233; Jaeschke 1993, Jiang and Deng 2014,
-# Sorenson and Webster 2017).  Past the last bound all fourteen bases are
-# used, a deterministic strong test with no known counterexample; base 43
-# rejects psi_13 itself.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# Sorenson and Webster 2017).  The last bound is psi_13: past it is_prime
+# runs BPSW, and a composite cofactor is first offered a Miller split over
+# all twenty bases, past the 43 that Arnault's composites are built to pass.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 _MR_TIERS = (
     (3_215_031_751, _MR_BASES[:4]),
     (3_474_749_660_383, _MR_BASES[:6]),
     (3_825_123_056_546_413_051, _MR_BASES[:9]),
     (3_317_044_064_679_887_385_961_981, _MR_BASES[:13]),
 )
+_PSI_13 = _MR_TIERS[-1][0]
+
+# Consecutive integers _factorize_range sieves at once: enough that each
+# prime's set-up is paid over many of them, few enough that a block's lists
+# of cofactors and factors stay well under a MiB.
+_RANGE_BLOCK = 1 << 12
 
 
 def exact_half(value: int) -> int:
@@ -123,7 +138,8 @@ def is_prime(n: int) -> bool:
     composite n has a prime p <= sqrt(n), whose block is tested, and a prime
     n < _TRIAL_BOUND of bit length k is below the square of its block's least
     prime, 2**(k-1) or more, so it is never tested against itself.  From
-    10^8, Miller-Rabin with the fewest bases proven for n's size (_MR_TIERS)."""
+    10^8, Miller-Rabin with the fewest bases proven for n's size (_MR_TIERS);
+    from psi_13, BPSW: Miller-Rabin to base 2, then ``_strong_lucas``."""
     if n < _TRIAL_BOUND * _TRIAL_BOUND:
         for square, block, _ in _trial_blocks():
             if square > n:
@@ -135,7 +151,7 @@ def is_prime(n: int) -> bool:
         if n < bound:
             break
     else:
-        bases = _MR_BASES
+        bases = _MR_BASES[:1]  # BPSW's first half
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -149,7 +165,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) of an int a and an odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of an odd n > 1 with Selfridge's
+    parameters (Baillie and Wagstaff 1980): D is the first of 5, -7, 9,
+    -11, ... with Jacobi symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With
+    n + 1 = 2^s * k, k odd, n passes when U_k = 0 or V_(k*2^r) = 0 modulo n
+    for some r < s.  A square n has no such D and is rejected first; a D
+    sharing a factor with n makes n composite unless n is |D| itself."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (symbol := _jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else 2 - d
+    if symbol == 0:
+        return abs(d) == n
+    q = (1 - d) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1; the index doubles per bit of k
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # U_(j+1) = (U_j + V_j)/2, V_(j+1) = (D*U_j + V_j)/2
+            u, v, qk = (u + v) % n, (d * u + v) % n, qk * q % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 class Factorization(namedtuple("Factorization", "n factors")):
@@ -157,7 +223,9 @@ class Factorization(namedtuple("Factorization", "n factors")):
 
     ``n`` is an int and ``factors`` a tuple of (prime, exponent) int pairs,
     empty exactly when n == 1.  The constructor and ``_replace`` validate
-    the invariants, so a Factorization in hand is always trustworthy.
+    the invariants; ``factorize`` and ``_factorize_range`` build theirs
+    directly, as their own steps prove them, so a Factorization in hand is
+    always trustworthy.
     """
 
     __slots__ = ()
@@ -345,30 +413,31 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer into its canonical prime factorization.
+def _miller_split(m: int) -> int:
+    """A proper divisor of the odd composite m, or 1 if none is found: with
+    m - 1 = 2^s * d, d odd, for each base a of _MR_BASES, the gcd of m with
+    x - 1 for x = a^d mod m and each of its s squarings.  A square root of 1
+    modulo some primes of m but not all, met on the way, gives one."""
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        for _ in range(s + 1):
+            if 1 < (g := gcd(x - 1, m)) < m:
+                return g
+            x = x * x % m
+    return 1
 
-    Trial division by the primes below 10^4 first.  Each composite cofactor
-    left is then split as a perfect power, else by Pollard p-1 (stage 1 to
-    10^4, stage 2 to 5*10^5), else by Pollard rho from a fixed start, and
-    is_prime checks the parts, so the result is deterministic for a
-    given n and comfortably handles inputs far beyond what the explicit
-    graph can represent.  Raises FactorBudgetError when rho spends its
-    budget of 2^25 steps on a cofactor without splitting it.
-    """
-    remaining = n
+
+def _split(m: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of m >= 10^8, ascending, where m has no
+    prime below _TRIAL_BOUND, so that by is_prime's rule every part of it
+    below 10^8 is prime.  A composite part is split as a perfect power if it
+    is one, else by the Miller split if it is psi_13 or more, else by Pollard
+    p-1, else by Pollard rho, which may raise FactorBudgetError."""
     exponents: dict[int, int] = {}
-    for square, block, primes in _trial_blocks():
-        if square > remaining:
-            break
-        if gcd(block, remaining) > 1:
-            for p in primes:
-                while remaining % p == 0:
-                    exponents[p] = exponents.get(p, 0) + 1
-                    remaining //= p
-    # What trial division leaves is 1, a prime, or free of primes below
-    # _TRIAL_BOUND, so by is_prime's rule any cofactor below 10^8 is prime.
-    stack = [remaining] if remaining > 1 else []
+    stack = [m]
     while stack:
         m = stack.pop()
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
@@ -382,11 +451,88 @@ def factorize(n: int) -> Factorization:
                 stack += [root] * k
                 break
         else:
-            d = _pollard_pm1(m)
+            d = _miller_split(m) if m >= _PSI_13 else 1
+            if d == 1:
+                d = _pollard_pm1(m)
             if d == 1 or d == m:
                 d = _pollard_rho(m)
             stack += [d, m // d]
-    return Factorization(n, tuple(sorted(exponents.items())))
+    return sorted(exponents.items())
+
+
+def _finish(n: int, factors: list[tuple[int, int]], m: int) -> Factorization:
+    """The Factorization of n, given the ascending (prime, exponent) pairs
+    ``factors`` of every prime of n below the least one of the cofactor m
+    they leave.  m is 1, or below 10^8 with no prime up to its square root,
+    so prime, or else has no prime below _TRIAL_BOUND and goes to
+    ``_split``.  The pairs are built prime and in order, and multiply to n,
+    so the constructor's checks are skipped."""
+    if m >= _TRIAL_BOUND * _TRIAL_BOUND:
+        factors += _split(m)
+    elif m > 1:
+        factors.append((m, 1))
+    return tuple.__new__(Factorization, (n, tuple(factors)))
+
+
+def factorize(n: int) -> Factorization:
+    """Factor a positive integer into its canonical prime factorization.
+
+    Trial division by the primes below 10^4 first.  Each composite cofactor
+    left is then split as a perfect power, else past psi_13 by the Miller
+    split, else by Pollard p-1 (stage 1 to 10^4, stage 2 to 5*10^5), else
+    by Pollard rho from a fixed start, and is_prime checks the parts, so
+    the result is deterministic for a given n and comfortably handles
+    inputs far beyond what the explicit graph can represent.  Raises
+    ValueError for n < 1, and FactorBudgetError when rho spends its budget
+    of 2^25 steps on a cofactor without splitting it.  The result is built
+    without the constructor's checks (``_finish``).
+    """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    remaining = n
+    factors = []
+    for square, block, primes in _trial_blocks():
+        if square > remaining:
+            break
+        if gcd(block, remaining) > 1:
+            for p in primes:
+                if not remaining % p:
+                    remaining //= p
+                    e = 1
+                    while not remaining % p:
+                        remaining //= p
+                        e += 1
+                    factors.append((p, e))
+    # What trial division leaves is 1, a prime, or free of primes below
+    # _TRIAL_BOUND: a composite has a prime p with p^2 at most itself, whose
+    # block was divided out.
+    return _finish(n, factors, remaining)
+
+
+def _factorize_range(lo: int, hi: int) -> Iterator[Factorization]:
+    """factorize(n) for each n in [lo, hi], 1 <= lo, in order.  In blocks of
+    _RANGE_BLOCK integers, each prime p of _trial_blocks with p^2 <= hi is
+    divided out of the multiples of p in the block, found by stepping p
+    from the first; then each n of the block is finished by ``_finish``,
+    lazily, so an n that raises FactorBudgetError does so only once every
+    earlier n has been yielded.  A cofactor left below 10^8 has no prime p
+    with p^2 <= hi, and it is at most hi, so it is 1 or prime; from 10^8,
+    hi >= 10^8 and every prime below _TRIAL_BOUND was divided out."""
+    primes = [p for *_, group in _trial_blocks() for p in group if p * p <= hi]
+    for start in range(lo, hi + 1, _RANGE_BLOCK):
+        stop = min(start + _RANGE_BLOCK, hi + 1)
+        rest = list(range(start, stop))
+        found = [[] for _ in rest]
+        for p in primes:
+            for i in range(-start % p, stop - start, p):
+                m, e = rest[i] // p, 1
+                while not m % p:
+                    m //= p
+                    e += 1
+                rest[i] = m
+                found[i].append((p, e))
+        for n, factors, m in zip(range(start, stop), found, rest):
+            yield _finish(n, factors, m)
 
 
 def divisor_count(f: Factorization) -> int:

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import and_, mul, rshift
+from operator import and_, rshift
 from struct import pack
 
 from .arithmetic import Factorization, _radix_factors, divisor_count, divisors, exact_half
@@ -166,10 +166,16 @@ def _walk_sum(mask: int, degrees: list[int]) -> int:
     return dsum
 
 
-def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, int]:
-    """One BFS from every vertex: the distance summary, the degrees, and the
-    second Zagreb, Gutman and Schultz sums over ordered pairs, which are
-    twice the first two indices and the Schultz index itself.
+def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, int, int, int, int, int, int]:
+    """One BFS from every vertex: the distance summary, the degree sum, the
+    first Zagreb index, the second Zagreb, Gutman and Schultz sums over
+    ordered pairs, which are twice the next two indices and the Schultz
+    index itself, and the eccentric connectivity.  The first Zagreb index is
+    added up where each source is served: once per covering row in the
+    per-row pass, at each memo hit and after each BFS.  The eccentric
+    connectivity starts at twice the degree sum, as if every source had
+    eccentricity 2, and each BFS corrects its source's term; the diameter
+    is the largest BFS level, and 2 at least when some source took 2.
 
     Each source starts at its own row, less any loop, as level 1, and the
     levels are frontier masks.  A level that leaves some vertex unseen ORs
@@ -216,7 +222,8 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
     total = sum(degrees)
     pairs = [0] * max(count + 1, 3)  # pair counts by distance, to D and to 2 at least
     eccentricities = [2] * count  # a covering row's sources keep this
-    zagreb2 = gutman = schultz = 0
+    zagreb1 = zagreb2 = gutman = schultz = diameter = bfs_runs = 0
+    eccentric = 2 * total  # as if every source took eccentricity 2; each BFS corrects its own
     memo = {}  # the per-source path's: a loop-free row's D_1 if it covers, else -1
     sources = enumerate(degrees)
 
@@ -234,6 +241,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 dsum = 0
                 for plane in planes:  # the top plane first, doubling the sum so far
                     dsum += dsum + (row & plane).bit_count()
+                zagreb1 += size * deg_r * deg_r
                 zagreb2 += size * deg_r * dsum
                 weighted = dsum + 2 * (total - deg_r - dsum)
                 gutman += size * deg_r * weighted
@@ -252,6 +260,7 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
                 covers = frontier | adjacency[(frontier & -frontier).bit_length() - 1] == everything
                 dsum = memo[frontier] = _walk_sum(frontier, degrees) if covers else -1
             if dsum >= 0:
+                zagreb1 += deg_s * deg_s
                 zagreb2 += deg_s * dsum
                 weighted = dsum + 2 * (total - deg_s - dsum)
                 gutman += deg_s * weighted
@@ -283,16 +292,22 @@ def _bfs_sums(g: DivisorGraph) -> tuple[DistanceSummary, list[int], int, int, in
             seen |= frontier
         if seen != everything:
             raise ValueError("divisor prime graph is disconnected")
+        zagreb1 += deg_s * deg_s
         gutman += deg_s * weighted
         schultz += weighted
+        eccentric += deg_s * (level - 2)
         eccentricities[source] = level
+        bfs_runs += 1
+        if level > diameter:
+            diameter = level
     # Level 1 of every source, the BFS sources' again; then the rest at distance 2.
     pairs[1] = sum(map(int.bit_count, map(rshift, adjacency, range(1, count + 1))))
     pairs[2] += count * (count - 1) // 2 - sum(pairs)
-    diameter = max(eccentricities, default=0)
+    if bfs_runs < count:  # some source took eccentricity 2 from a cover
+        diameter = max(diameter, 2)
     histogram = {d: count for d, count in enumerate(pairs[: diameter + 1]) if count}
     summary = DistanceSummary(histogram, tuple(eccentricities), diameter)
-    return summary, degrees, zagreb2, gutman, schultz
+    return summary, total, zagreb1, zagreb2, gutman, schultz, eccentric
 
 
 def distance_summary(g: DivisorGraph) -> DistanceSummary:
@@ -309,11 +324,14 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     halves of sums over ordered pairs, so the rows must be symmetric and
     loop-free, as ``build_graph`` makes them: an adjacency that passes the
     handshake check without being so may raise ``ArithmeticError`` from
-    ``exact_half`` or give meaningless values.
+    ``exact_half`` or give meaningless values.  The degree sum, the first
+    Zagreb index and the eccentric connectivity come from ``_bfs_sums``,
+    which adds them up as it serves each source, and the rest from its
+    distance histogram.
     """
-    summary, degrees, zagreb2, gutman, schultz = _bfs_sums(g)
+    summary, degree_sum, zagreb1, zagreb2, gutman, schultz, eccentric = _bfs_sums(g)
     pairs = summary.pairs_at_distance
-    edge_count, degree_sum = pairs.get(1, 0), sum(degrees)
+    edge_count = pairs.get(1, 0)
     # Before halving: an adjacency the handshake rejects gets its ValueError.
     _check_handshake(degree_sum, edge_count)
     common = lcm(*pairs)
@@ -326,9 +344,7 @@ def oracle_report(g: DivisorGraph) -> IndexReport:
     return IndexReport(
         g.n, len(g.vertices), edge_count, degree_sum, wiener,
         Fraction(harary, common),
-        exact_half(hyper_wiener),
-        sum(map(mul, degrees, degrees)),  # zagreb1
-        exact_half(zagreb2), exact_half(gutman), schultz,
-        sum(map(mul, degrees, summary.eccentricities)),  # eccentric_connectivity
+        exact_half(hyper_wiener), zagreb1,
+        exact_half(zagreb2), exact_half(gutman), schultz, eccentric,
         ORACLE, summary.diameter,
     )

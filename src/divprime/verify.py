@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from time import perf_counter
 
-from .arithmetic import Factorization, factorize
+from .arithmetic import Factorization, _factorize_range, factorize
 from .formulas import cf_report
 from .oracle import DEFAULT_CAP, CapExceededError, build_graph, oracle_report
 from .report import COMPARED_FIELDS, _exact
@@ -114,11 +114,14 @@ def verify_n(n: int | Factorization, cap: int | None = DEFAULT_CAP) -> Verificat
 
 
 def verify_results(lo: int, hi: int, cap: int | None = DEFAULT_CAP) -> Iterator[VerificationResult]:
-    """Yield verify_n(n) for every n in [lo, hi], in order."""
+    """Yield verify_n(n) for every n in [lo, hi], in order.  The integers
+    are factored together by ``arithmetic._factorize_range``, one at a time
+    as the results are taken, so an n whose factoring raises does so after
+    every earlier result has been yielded."""
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]: need 1 <= lo <= hi")
-    for n in range(lo, hi + 1):
-        yield verify_n(n, cap=cap)
+    for f in _factorize_range(lo, hi):
+        yield verify_n(f, cap=cap)
 
 
 def verify_range(lo: int, hi: int, cap: int | None = DEFAULT_CAP) -> SweepSummary:

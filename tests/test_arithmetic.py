@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import random
 from functools import cache
 from itertools import compress
@@ -13,10 +14,12 @@ import divprime.arithmetic
 from divprime.arithmetic import (
     FactorBudgetError,
     Factorization,
+    _factorize_range,
     _iroot,
     _pm1_plan,
     _pollard_pm1,
     _radix_factors,
+    _strong_lucas,
     divisor_count,
     divisors,
     exact_half,
@@ -332,10 +335,13 @@ TIER_STARTS = (
 
 
 class TestMultiplesOfTheBases:
-    """A multiple n of one of is_prime's Miller-Rabin bases a is composite.
-    Below 10^8 trial division rejects it by a's block of primes; from 10^8
-    Miller-Rabin alone must: a^d mod n and each of its squares share the
-    factor a with n, so none of them is 1 or n - 1."""
+    """A multiple n of one of the twenty prime bases a of _MR_BASES is
+    composite.  Below 10^8 trial division rejects it by a's block of primes.
+    From 10^8 to psi_13 Miller-Rabin must: when a is one of its tier's
+    bases, a^d mod n and each of its squares share the factor a with n, so
+    none of them is 1 or n - 1, and the tier's proven bound covers every
+    other a.  Past psi_13, at 10^30, BPSW must: base 2 alone, then the
+    strong Lucas test."""
 
     @pytest.mark.parametrize("start", TIER_STARTS)
     def test_base_times_a_prime_just_past_each_tier_start(self, start):
@@ -372,14 +378,15 @@ P_TERM, P_TERM_TOO = 4 * 11299 + 1, 2 * 11801 + 1
 SAFE, SAFE_TOO = 2 * 500000003 + 1, 2 * 500000201 + 1
 
 
-def lucas_is_prime(p: int, primes: tuple[int, ...]) -> bool:
+def lucas_is_prime(p: int, primes: tuple[int, ...], proven: tuple[int, ...] = ()) -> bool:
     """Lucas's test as Brillhart, Lehmer and Selfridge (1975) state it,
     independent of is_prime: p is prime when ``primes`` are every prime of
     p - 1 and, for each r of them, some a below 100 has a^(p-1) = 1 and
-    a^((p-1)/r) != 1 modulo p."""
+    a^((p-1)/r) != 1 modulo p.  Each r is checked prime by trial division
+    unless it is in ``proven``, primes the caller has proved already."""
     rest = p - 1
     for r in primes:
-        assert trial_division_is_prime(r)
+        assert r in proven or trial_division_is_prime(r)
         while rest % r == 0:
             rest //= r
     return rest == 1 and all(
@@ -659,6 +666,155 @@ class TestRhoBudget:
             "error: Pollard rho found no factor of a 19-digit cofactor "
             "within its budget of 1000 steps\n"
         )
+
+
+# A composite that Miller-Rabin passes on every prime base to 43 (Arnault
+# 1995, "Rabin-Miller primality test: composite numbers which pass it",
+# Math. Comp. 64): N = p1 * p2 * p3 with p2 = 53 (p1 - 1) + 1 and
+# p3 = 61 (p1 - 1) + 1.  Each pi is 3 mod 8 and has (a/pi) = -1 for every
+# odd prime a <= 43, and N is a Carmichael number.  Each pi - 1 holds the
+# prime ARNAULT_Q, so Pollard p-1 cannot split N, nor rho within its budget.
+ARNAULT_Q = 19881712813777
+ARNAULT_P1 = 2 * 3 * 7 * 11**2 * 31**2 * 613 * ARNAULT_Q + 1
+ARNAULT_P2 = 53 * (ARNAULT_P1 - 1) + 1
+ARNAULT_P3 = 61 * (ARNAULT_P1 - 1) + 1
+ARNAULT_N = ARNAULT_P1 * ARNAULT_P2 * ARNAULT_P3
+PSI_12, PSI_13 = A014233[-2:]
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin on the odd n > 2 to the one base a, from its definition."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+class TestArnaultComposite:
+    """Past psi_13 is_prime runs BPSW, which rejects N where Miller-Rabin on
+    the fourteen prime bases to 43 did not, and factorize takes N apart by
+    the Miller split over twenty bases, which reach past 43."""
+
+    def test_inputs_are_what_they_claim(self):
+        assert ARNAULT_N == int(
+            "681746099727081682762119207687427069799107687978243211942570560847645083"
+        )
+        assert ARNAULT_P1 == 59521287816453390714403
+        assert lucas_is_prime(ARNAULT_Q, (2, 3, 11, 37654759117))
+        for k, p in ((1, ARNAULT_P1), (53, ARNAULT_P2), (61, ARNAULT_P3)):
+            primes = (2, 3, 7, 11, 31, 613, ARNAULT_Q, *((k,) if k > 1 else ()))
+            assert lucas_is_prime(p, primes, proven=(ARNAULT_Q,)), k
+        assert ARNAULT_P2 < PSI_13 < ARNAULT_P3  # p3 is proved prime past the proven tiers
+
+    def test_passes_miller_rabin_on_every_prime_base_to_43(self):
+        assert all(strong_probable_prime(ARNAULT_N, a) for a in sieve_primes(44))
+
+    def test_is_prime_rejects_it(self):
+        assert not is_prime(ARNAULT_N)
+        assert not is_prime(ARNAULT_P2 * ARNAULT_P3)
+        assert all(map(is_prime, (ARNAULT_P1, ARNAULT_P2, ARNAULT_P3)))
+
+    def test_factorize_splits_it_without_p_minus_1_or_rho(self, monkeypatch):
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_pm1", no_rho)
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
+        assert factorize(ARNAULT_N).factors == ((ARNAULT_P1, 1), (ARNAULT_P2, 1), (ARNAULT_P3, 1))
+
+    def test_compute_with_oracle_counts_eight_divisors_verified(self, capsys):
+        assert main(["compute", str(ARNAULT_N), "--with-oracle", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "verified"
+        assert out["D"] == out["oracle"]["D"] == "8"
+
+
+class TestStrongLucas:
+    """The strong Lucas test with Selfridge's parameters, BPSW's second half."""
+
+    def test_rejects_every_term_of_a014233(self):
+        assert [n for n in A014233 if _strong_lucas(n)] == []
+
+    def test_agrees_with_the_sieve_but_for_its_pseudoprimes(self):
+        # Below 10^5 it accepts every odd prime, and the odd composites it
+        # accepts are the strong Lucas pseudoprimes (OEIS A217255), none of
+        # which is a strong pseudoprime to base 2.
+        flags = sieve(10**5)
+        wrong = [n for n in range(3, 10**5, 2) if _strong_lucas(n) != flags[n]]
+        assert wrong == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        assert not any(strong_probable_prime(n, 2) for n in wrong)
+
+    @pytest.mark.parametrize("n", [PSI_13, ARNAULT_N, ARNAULT_P2 * ARNAULT_P3, ARNAULT_P3**2])
+    def test_rejects_composites_past_psi_13(self, n):
+        assert not _strong_lucas(n)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("exponent", [89, 107, 127, 521])
+    def test_accepts_mersenne_primes_past_psi_13(self, exponent):
+        assert _strong_lucas(2**exponent - 1) and is_prime(2**exponent - 1)
+
+
+class TestProvedOnce:
+    """factorize and _factorize_range build their results without the
+    constructor's checks, which each of them must still pass."""
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    @settings(max_examples=300)
+    def test_factorize_results_pass_the_constructor(self, n):
+        f = factorize(n)
+        assert Factorization(*f) == f
+
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13, ARNAULT_N])
+    def test_past_the_tiers(self, n):
+        f = factorize(n)
+        assert len(f.factors) > 1
+        assert Factorization(*f) == f
+
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=100)
+    def test_range_results_pass_the_constructor(self, lo, length):
+        for f in _factorize_range(lo, lo + length):
+            assert Factorization(*f) == f
+
+    def test_replace_on_a_factorize_result_validates(self):
+        f = factorize(12)
+        with pytest.raises(ValueError, match="^factors do not multiply to 13$"):
+            f._replace(n=13)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            f._replace(n=16, factors=((4, 2),))
+        assert f._replace(n=18, factors=((2, 1), (3, 2))) == factorize(18)
+
+
+class TestFactorizeRange:
+    """_factorize_range sieves a block of consecutive integers at once and
+    must give what factorize gives for each of them, in order."""
+
+    @pytest.mark.parametrize(
+        ("lo", "hi"),
+        [
+            (1, 3000),  # from 1, where the small primes are their own multiples
+            (10**6 - 50, 10**6 + 2 * divprime.arithmetic._RANGE_BLOCK),  # across two block boundaries
+            (10**8 - 400, 10**8 + 400),  # where a cofactor's primality turns to is_prime
+            (10**20 - 10, 10**20 + 10),  # where cofactors go to p-1 and rho
+        ],
+    )
+    def test_equals_factorize_one_at_a_time(self, lo, hi):
+        assert list(_factorize_range(lo, hi)) == [factorize(n) for n in range(lo, hi + 1)]
+
+    def test_a_refused_n_raises_after_the_earlier_results(self, monkeypatch):
+        monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        n = 12 * SAFE * SAFE_TOO  # refused, as TestRhoBudget shows
+        results = _factorize_range(n - 3, n + 3)
+        assert [next(results) for _ in range(3)] == [factorize(m) for m in range(n - 3, n)]
+        with pytest.raises(FactorBudgetError, match="of a 19-digit cofactor"):
+            next(results)
+
+    def test_verify_prints_the_earlier_rows_then_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        n = 12 * SAFE * SAFE_TOO
+        assert main(["verify", str(n - 3), str(n + 3), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert [row[0] for row in rows[1:]] == [str(m) for m in range(n - 3, n)]
+        assert captured.err.startswith("error: Pollard rho found no factor of a 19-digit cofactor")
 
 
 def test_exact_half():

@@ -657,20 +657,21 @@ def assert_bfs_sums_match_naive(count, edge_list):
     """The BFS sums against the naive reference on a graph that may hold
     loops, which oracle_report's handshake check refuses: a loop counts in
     its vertex's degree and is no pair."""
-    summary, degrees, zagreb2, gutman, schultz = divprime.oracle._bfs_sums(
-        graph_from_edges(count, edge_list)
+    summary, degree_sum, zagreb1, zagreb2, gutman, schultz, eccentric = (
+        divprime.oracle._bfs_sums(graph_from_edges(count, edge_list))
     )
     pairs = summary.pairs_at_distance
     expected = naive_indices(count, edge_list)
     assert pairs.get(1, 0) == expected["edge_count"]
-    assert sum(degrees) == expected["degree_sum"]
+    assert degree_sum == expected["degree_sum"]
     assert sum(d * c for d, c in pairs.items()) == expected["wiener"]
-    assert (zagreb2, gutman, schultz) == (
+    assert (zagreb1, zagreb2, gutman, schultz, eccentric) == (
+        expected["zagreb1"],
         2 * expected["zagreb2"],
         2 * expected["gutman"],
         expected["schultz"],
+        expected["eccentric_connectivity"],
     )
-    assert sum(map(mul, degrees, summary.eccentricities)) == expected["eccentric_connectivity"]
     assert summary.diameter == expected["diameter"]
 
 
@@ -770,11 +771,29 @@ def bfs_sums_or_message(g):
         return str(err)
 
 
+def assert_folded_sums_by_definition(g, sums):
+    """The degree sum, first Zagreb index, eccentric connectivity and
+    diameter in the ``_bfs_sums`` tuple ``sums`` against their definitions
+    over the rows of g, whose degrees are popcounts, a loop counted, and the
+    summary's eccentricities, as ``oracle_report`` summed them before
+    ``_bfs_sums`` folded them in."""
+    summary, degree_sum, zagreb1, *_, eccentric = sums
+    degrees = [row.bit_count() for row in g.adjacency]
+    assert degree_sum == sum(degrees)
+    assert zagreb1 == sum(d * d for d in degrees)
+    assert eccentric == sum(map(mul, degrees, summary.eccentricities))
+    assert summary.diameter == max(summary.eccentricities, default=0)
+
+
 def per_source_sums(g):
     """``_bfs_sums`` of g, or its ValueError's message, on the per-source
-    path that graphs below ``_PLANE_MIN`` vertices take."""
+    path that graphs below ``_PLANE_MIN`` vertices take, with the folded
+    sums checked against their definitions."""
     with mock.patch.object(divprime.oracle, "_PLANE_MIN", len(g.adjacency) + 1):
-        return bfs_sums_or_message(g)
+        sums = bfs_sums_or_message(g)
+    if not isinstance(sums, str):
+        assert_folded_sums_by_definition(g, sums)
+    return sums
 
 
 @st.composite
@@ -884,6 +903,50 @@ class TestPerRowPass:
             distance_summary(g)
         with pytest.raises(ValueError, match="divisor prime graph is disconnected"):
             oracle_report(g)
+
+
+def looped_and_directed_rows():
+    """Hand-built rows that ``build_graph`` never makes, each strongly
+    connected: loops on a path, on a star and on every vertex of a
+    triangle; the directed rows of the memo's and the per-row pass's
+    covers that miss their first source; and the 70-vertex rows where a
+    looped source shares its row with loop-free twins."""
+    count = 70
+    everything = (1 << count) - 1
+    return [
+        (0b011, 0b111, 0b110),
+        (0b1111, 0b0011, 0b0101, 0b1001),
+        (0b111, 0b111, 0b111),
+        (0b0100, 0b0100, 0b1010, 0b0001),
+        (0b100, 0b100, everything ^ 0b101, everything ^ 0b1000, *[0b1000] * (count - 4)),
+        ((1 << count) - 2, *[0b11] * (count - 1)),
+    ]
+
+
+class TestFoldedSums:
+    """``_bfs_sums`` adds up the degree sum, the first Zagreb index, the
+    eccentric connectivity and the diameter where it serves each source, in
+    the per-row pass, at a memo hit or after a BFS.  They must equal their
+    definitions over the degrees and eccentricities, on divisor graphs of
+    both passes and on hand-built rows with loops or arcs one way."""
+
+    @pytest.mark.parametrize("rows", looped_and_directed_rows())
+    def test_looped_and_directed_rows(self, rows):
+        g = DivisorGraph(n=0, vertices=tuple(range(len(rows))), adjacency=rows)
+        assert_folded_sums_by_definition(g, divprime.oracle._bfs_sums(g))
+        assert divprime.oracle._bfs_sums(g) == per_source_sums(g)
+
+    @given(rows_with_loops_and_dropped_arcs())
+    @settings(max_examples=40, deadline=None)
+    def test_looped_and_directed_rows_of_the_per_row_pass_size(self, g):
+        sums = bfs_sums_or_message(g)
+        if not isinstance(sums, str):
+            assert_folded_sums_by_definition(g, sums)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720, 7420738134810])
+    def test_divisor_graphs(self, n):
+        g = graph_of(n)
+        assert_folded_sums_by_definition(g, divprime.oracle._bfs_sums(g))
 
 
 def plane_builds(count, edge_list, check=assert_matches_naive):

@@ -17,10 +17,10 @@ in one ``pow``, and again one power at a time when that catches every
 prime at once, and stage 2 tries each prime in [10^4, 5*10^5) as the one
 large factor of p - 1, by baby and giant steps that cover two primes with
 one product where they can (Montgomery 1987), and again one term at a
-time at a giant step that catches every prime at once.  What p-1 leaves goes to Brent's variant of
-Pollard rho (Brent 1980), which multiplies four differences per reduction
-and gives up with :class:`FactorBudgetError` after 2^25 steps rather than
-run without end.
+time at a giant step that catches every prime at once.  What p-1 leaves
+goes to Brent's variant of Pollard rho (Brent 1980), which multiplies four
+differences per reduction and gives up with :class:`FactorBudgetError`
+after 2^25 steps rather than run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13,

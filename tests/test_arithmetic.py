@@ -324,7 +324,7 @@ class TestPrimalityTiers:
 # Where is_prime's tiers start: the trial bound; psi_2 = 1373653, past
 # which Miller-Rabin would need more than bases 2 and 3; the trial bound
 # squared, where Miller-Rabin starts; each _MR_TIERS bound, the last of
-# which is psi_13; and 10^30, well inside the last tier.
+# which is psi_13, where BPSW takes over; and 10^30, well past psi_13.
 TIER_STARTS = (
     divprime.arithmetic._TRIAL_BOUND,
     1_373_653,

@@ -18,9 +18,12 @@ prime at once, and stage 2 tries each prime in [10^4, 5*10^5) as the one
 large factor of p - 1, by baby and giant steps that cover two primes with
 one product where they can (Montgomery 1987), and again one term at a
 time at a giant step that catches every prime at once.  What p-1 leaves
-goes to Brent's variant of Pollard rho (Brent 1980), which multiplies four
-differences per reduction and gives up with :class:`FactorBudgetError`
-after 2^25 steps rather than run without end.
+goes, from 10^15, to Lenstra's elliptic-curve method (Lenstra 1987) on
+up to 64 of Suyama's Montgomery curves, each with a stage 1 to 300 by one
+x-only ladder and a stage 2 to 15000 by baby and giant steps paired as
+p-1's are.  What is left goes to Brent's variant of Pollard rho (Brent
+1980), which multiplies four differences per reduction and gives up with
+:class:`FactorBudgetError` after 2^25 steps rather than run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13,
@@ -54,8 +57,8 @@ __all__ = [
     "is_prime",
 ]
 
-# Trial division strips primes below this; p-1 and Pollard rho handle the
-# rest.  Kept modest so that factoring thousands of 12-digit numbers stays
+# Trial division strips primes below this; p-1, ECM and Pollard rho handle
+# the rest.  Kept modest so that factoring thousands of 12-digit numbers stays
 # fast.  It is also p-1's stage-1 bound.
 _TRIAL_BOUND = 10_000
 
@@ -69,13 +72,36 @@ _TRIAL_BOUND = 10_000
 # x0.91 and 10^6 x0.91-0.92, the median N 3.7-4.3 ms at each; 10^6 also
 # takes 16-20 ms to plan, against 8-14 ms, and 0.8 MiB more.  A p-1 call
 # that splits nothing takes x1.6 as long as at 2*10^5, still under a third
-# of a rho call.
+# of a rho call.  That rule was measured with rho behind p-1, before ECM
+# ran between them; the bound stays, as CI's P * (10^19 + 1963) inputs
+# need stage-2 primes up to 499979.
 # W = 2*3*5*7*11 has 240 baby steps, the odd b < W/2 prime to W; of the
 # primorials it takes the fewest baby and giant steps to 5*10^5: 577 + 216,
 # against 52 + 2381 for 210 and 7507 + 17 for 30030.
 _PM1_BASE = 3
 _PM1_BOUND2 = 500_000
 _PM1_WIDTH = 2310
+
+# Lenstra ECM, behind p-1 on cofactors of at least _ECM_MIN: the stage-1
+# bound B1, the end of stage 2's primes B2, stage 2's giant step W and the
+# number of curves.  Timed on the 185 cofactors that p-1 leaves of 720
+# factor benchmark N (seeds 1, 5 and 77; CPython 3.11, 2-core x86-64), ECM
+# then rho on what it leaves, min of 5 rounds: B1 = 300 and B2 = 15000
+# took 1.19 s, against 1.26 s at B1 = 200, 1.32 s at 400, 1.26 s at
+# B2 = 10^4 and 1.36 s at 2.5*10^4; W = 210 took 1.19 s, against 1.59 s at
+# 30 and 1.74 s at 2310.  They needed 3.3 curves on average and 18 at
+# most, so 64 is a wide margin; on CI's 39-digit product of two 20-digit
+# safe primes the 64 take about 0.2 s before rho refuses it.  _ECM_MIN is
+# where ECM starts to beat rho on balanced semiprimes that p-1 leaves, 40
+# per decade in two seeded sets, rho against ECM with rho behind it:
+# 1.1-1.3 against 2.7-4.2 ms in [10^13, 10^14), 1.6-3.0 against 2.7-4.9
+# ms in [10^14, 10^15), 3.6 against 3.2-3.3 ms in [10^15, 10^16) and
+# 5.3-5.8 against 4.1-5.1 ms in [10^16, 10^17).
+_ECM_BOUND1 = 300
+_ECM_BOUND2 = 15_000
+_ECM_WIDTH = 210
+_ECM_CURVES = 64
+_ECM_MIN = 10**15
 
 # Brent rho's f-steps over all its walks on one cofactor, about 18x what
 # psi_13 takes (1.8M).  A stride that could pass it is not begun:
@@ -260,33 +286,45 @@ class FactorBudgetError(ArithmeticError):
     """Pollard rho reached its step budget without splitting a cofactor."""
 
 
+def _prime_powers(bound: int) -> tuple[int, ...]:
+    """The largest power below bound of every prime below it, ascending."""
+    powers = []
+    for p in compress(range(bound), _sieve(bound)):
+        power = p
+        while power * p < bound:
+            power *= p
+        powers.append(power)
+    return tuple(powers)
+
+
+def _stage_2_table(width: int, lo: int, hi: int) -> tuple[bytes, tuple[tuple[bytes, ...], ...]]:
+    """The term table of a baby-step giant-step stage 2 with giant step
+    W = width, twice an odd number, over the primes in [lo, hi), lo > W/2.
+
+    It flags each odd b <= W/2 prime to W (the baby steps), and lists for
+    each giant step g = 1, 2, ... the index among them of every b for which
+    g*W - b or g*W + b is a prime in [lo, hi), in runs of at most 8."""
+    half = width // 2
+    coprime = bytes(gcd(b, width) == 1 for b in range(1, half + 1, 2))
+    babies = tuple(compress(range(1, half + 1, 2), coprime))
+    flags = _sieve(hi + width)
+    flags[:lo] = bytes(lo)
+    flags[hi:] = bytes(width)
+    table = []
+    for c in range(width, hi + half, width):
+        terms = bytes(k for k, b in enumerate(babies) if flags[c - b] or flags[c + b])
+        table.append(tuple(terms[i : i + 8] for i in range(0, len(terms), 8)))
+    return coprime, tuple(table)
+
+
 @cache
 def _pm1_plan() -> tuple[int, tuple[int, ...], bytes, tuple[tuple[bytes, ...], ...]]:
     """Stage 1's exponent; the prime powers it is the product of, the
     largest below _TRIAL_BOUND of every prime below it, in ascending order;
-    and stage 2's term table.
-
-    With W = _PM1_WIDTH, the table flags each odd b <= W/2 prime to W (the
-    baby steps), and lists for each giant step g = 1, 2, ... the index among
-    them of every b for which g*W - b or g*W + b is a prime in
-    [_TRIAL_BOUND, _PM1_BOUND2), in runs of at most 8."""
-    powers = []
-    for p in chain.from_iterable(primes for *_, primes in _trial_blocks()):
-        power = p
-        while power * p < _TRIAL_BOUND:
-            power *= p
-        powers.append(power)
-    width, half = _PM1_WIDTH, _PM1_WIDTH // 2
-    coprime = bytes(gcd(b, width) == 1 for b in range(1, half + 1, 2))
-    babies = tuple(compress(range(1, half + 1, 2), coprime))
-    flags = _sieve(_PM1_BOUND2 + width)
-    flags[:_TRIAL_BOUND] = bytes(_TRIAL_BOUND)
-    flags[_PM1_BOUND2:] = bytes(width)
-    table = []
-    for c in range(width, _PM1_BOUND2 + half, width):
-        terms = bytes(k for k, b in enumerate(babies) if flags[c - b] or flags[c + b])
-        table.append(tuple(terms[i : i + 8] for i in range(0, len(terms), 8)))
-    return prod(powers), tuple(powers), coprime, tuple(table)
+    and stage 2's term table, ``_stage_2_table`` with W = _PM1_WIDTH over
+    the primes in [_TRIAL_BOUND, _PM1_BOUND2)."""
+    powers = _prime_powers(_TRIAL_BOUND)
+    return prod(powers), powers, *_stage_2_table(_PM1_WIDTH, _TRIAL_BOUND, _PM1_BOUND2)
 
 
 def _pollard_pm1(m: int) -> int:
@@ -349,6 +387,98 @@ def _pollard_pm1(m: int) -> int:
         if g != 1:
             return g
         giant, previous = (giant * step - previous) % m, giant
+    return 1
+
+
+@cache
+def _ecm_plan() -> tuple[int, bytes, tuple[tuple[bytes, ...], ...]]:
+    """Stage 1's multiplier, the product of the largest power up to
+    _ECM_BOUND1 of every prime up to it, and stage 2's term table,
+    ``_stage_2_table`` with W = _ECM_WIDTH over the primes in
+    (_ECM_BOUND1, _ECM_BOUND2]."""
+    k = prod(_prime_powers(_ECM_BOUND1 + 1))
+    return k, *_stage_2_table(_ECM_WIDTH, _ECM_BOUND1 + 1, _ECM_BOUND2 + 1)
+
+
+def _xdouble(x: int, z: int, a24: int, m: int) -> tuple[int, int]:
+    """[2](x:z) on the Montgomery curve with (A + 2)/4 = a24, modulo m."""
+    s, d = (x + z) ** 2 % m, (x - z) ** 2 % m
+    return s * d % m, (s - d) * (d + a24 * (s - d)) % m
+
+
+def _xadd(x: int, z: int, x2: int, z2: int, xd: int, zd: int, m: int) -> tuple[int, int]:
+    """(x:z) + (x2:z2) on a Montgomery curve modulo m, given their
+    difference (xd:zd)."""
+    a, b = (x - z) * (x2 + z2), (x + z) * (x2 - z2)
+    return zd * (a + b) ** 2 % m, xd * (a - b) ** 2 % m
+
+
+def _ladder(k: int, x0: int, a24: int, m: int) -> tuple[int, int]:
+    """[k](x0:1) for k >= 1 by Montgomery's ladder: (x:z) and (x2:z2) are
+    [j]P and [j+1]P for the leading bits j of k, so their difference is
+    always P."""
+    x, z = x0, 1
+    x2, z2 = _xdouble(x0, 1, a24, m)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x, z = _xadd(x, z, x2, z2, x0, 1, m)
+            x2, z2 = _xdouble(x2, z2, a24, m)
+        else:
+            x2, z2 = _xadd(x, z, x2, z2, x0, 1, m)
+            x, z = _xdouble(x, z, a24, m)
+    return x, z
+
+
+def _ecm(m: int) -> int:
+    """Lenstra's elliptic-curve method (Lenstra 1987) on a composite m with
+    no prime below _TRIAL_BOUND: a proper divisor of m, or 1 when none of
+    its _ECM_CURVES curves gives one.
+
+    Curve sigma = 6, 7, ... is Suyama's: the Montgomery curve
+    y^2 = x^3 + A*x^2 + x with (A + 2)/4 = (v - u)^3 (3u + v) / (16 u^3 v)
+    and the point P of x = u^3/v^3, where u = sigma^2 - 5 and v = 4*sigma.
+    For sigma < 100 the primes of u and v are below _TRIAL_BOUND, so
+    16 u^3 v is prime to m.  Points are (X:Z) with x = X/Z, added and
+    doubled without y (Montgomery 1987).
+    Stage 1 takes Q = [k]P, k the stage-1 multiplier of ``_ecm_plan``, so
+    Z_Q = 0 modulo every prime p of m for which the order of P modulo p
+    divides k.  Stage 2 catches those where it is such a divisor times one
+    prime q in (_ECM_BOUND1, _ECM_BOUND2], by baby and giant steps as in
+    ``_pollard_pm1``: q is g*W - b or g*W + b for W = _ECM_WIDTH, so when
+    it is the order of Q modulo p, [gW]Q is -[b]Q or [b]Q there, the two
+    share their x, and p divides X_g*Z_b - X_b*Z_g: one term covers both
+    members of a prime pair.  The baby points [b]Q come from [2]Q, each
+    [b+2]Q as [b]Q + [2]Q less [b-2]Q, and each giant point from the one
+    before it and [W]Q.  The curve's one gcd is taken with Z_Q times every
+    term of the table, reduced once per run of 8; one that is m moves on
+    to the next curve."""
+    k, coprime, table = _ecm_plan()
+    for sigma in range(6, 6 + _ECM_CURVES):
+        u, v = sigma * sigma - 5, 4 * sigma
+        inverse = pow(16 * u**3 * v**4, -1, m)  # 1/(16 u^3 v) = v^3 * inverse
+        a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inverse % m
+        x, z = _ladder(k, 16 * u**6 * v * inverse % m, a24, m)
+        odd = [(x, z)]  # [1]Q, [3]Q, ..., [W/2]Q
+        step = _xdouble(x, z, a24, m)  # [2]Q
+        previous = odd[0]  # [-1]Q, which has the x of [1]Q
+        for _ in range(_ECM_WIDTH // 4):
+            odd.append(_xadd(*odd[-1], *step, *previous, m))
+            previous = odd[-2]
+        babies = list(compress(odd, coprime))
+        giant_step = _xdouble(*odd[-1], a24, m)  # [W]Q
+        giant, following = giant_step, _xdouble(*giant_step, a24, m)
+        product = z
+        for runs in table:
+            xg, zg = giant
+            for run in runs:
+                for b in run:
+                    xb, zb = babies[b]
+                    product *= xg * zb - xb * zg
+                product %= m
+            giant, following = following, _xadd(*following, *giant_step, *giant, m)
+        g = gcd(product, m)
+        if g != 1 and g != m:
+            return g
     return 1
 
 
@@ -435,7 +565,8 @@ def _split(m: int) -> list[tuple[int, int]]:
     prime below _TRIAL_BOUND, so that by is_prime's rule every part of it
     below 10^8 is prime.  A composite part is split as a perfect power if it
     is one, else by the Miller split if it is psi_13 or more, else by Pollard
-    p-1, else by Pollard rho, which may raise FactorBudgetError."""
+    p-1, else by ECM if it is _ECM_MIN or more, else by Pollard rho, which
+    may raise FactorBudgetError."""
     exponents: dict[int, int] = {}
     stack = [m]
     while stack:
@@ -454,6 +585,8 @@ def _split(m: int) -> list[tuple[int, int]]:
             d = _miller_split(m) if m >= _PSI_13 else 1
             if d == 1:
                 d = _pollard_pm1(m)
+            if (d == 1 or d == m) and m >= _ECM_MIN:
+                d = _ecm(m)
             if d == 1 or d == m:
                 d = _pollard_rho(m)
             stack += [d, m // d]
@@ -480,8 +613,9 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below 10^4 first.  Each composite cofactor
     left is then split as a perfect power, else past psi_13 by the Miller
     split, else by Pollard p-1 (stage 1 to 10^4, stage 2 to 5*10^5), else
-    by Pollard rho from a fixed start, and is_prime checks the parts, so
-    the result is deterministic for a given n and comfortably handles
+    from 10^15 by ECM (64 fixed curves, stage 1 to 300, stage 2 to 15000),
+    else by Pollard rho from a fixed start, and is_prime checks the parts,
+    so the result is deterministic for a given n and comfortably handles
     inputs far beyond what the explicit graph can represent.  Raises
     ValueError for n < 1, and FactorBudgetError when rho spends its budget
     of 2^25 steps on a cofactor without splitting it.  The result is built

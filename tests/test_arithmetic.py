@@ -14,8 +14,11 @@ import divprime.arithmetic
 from divprime.arithmetic import (
     FactorBudgetError,
     Factorization,
+    _ecm,
+    _ecm_plan,
     _factorize_range,
     _iroot,
+    _ladder,
     _pm1_plan,
     _pollard_pm1,
     _radix_factors,
@@ -552,7 +555,7 @@ class TestPollardPm1:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_past_trial_division(self, draws):
         # Two or three primes above the trial bound, some squared, so that
-        # p-1, the perfect-power test and rho all run.
+        # p-1, ECM, the perfect-power test and rho all run.
         expected: dict[int, int] = {}
         for start, e in draws:
             p = start
@@ -563,6 +566,118 @@ class TestPollardPm1:
         for p, e in expected.items():
             n *= p**e
         assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
+def montgomery_sum(P, Q, a: int, b: int, p: int):
+    """P + Q on b*y^2 = x^3 + a*x^2 + x over the integers modulo the prime
+    p, by the affine chord-and-tangent law; None is the point at infinity."""
+    if P is None or Q is None:
+        return P if Q is None else Q
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (b * slope * slope - a - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def montgomery_multiple(k: int, P, a: int, b: int, p: int):
+    """[k]P for k >= 1 by doubling and adding with ``montgomery_sum``."""
+    result = None
+    for bit in bin(k)[2:]:
+        result = montgomery_sum(result, result, a, b, p)
+        if bit == "1":
+            result = montgomery_sum(result, P, a, b, p)
+    return result
+
+
+def suyama_curve(sigma: int, p: int) -> tuple[tuple[int, int], int, int]:
+    """Suyama's curve for sigma over the integers modulo the prime p: its
+    point (u^3/v^3, 1), with u = sigma^2 - 5 and v = 4*sigma, and the a and
+    b that put that point on b*y^2 = x^3 + a*x^2 + x, with
+    a = (v - u)^3 (3u + v) / (4 u^3 v) - 2."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    x = u**3 * pow(v**3, -1, p) % p
+    a = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    return (x, 1), a, (x**3 + a * x * x + x) % p
+
+
+class TestEcm:
+    """Lenstra's ECM on Suyama's Montgomery curves, behind p-1 on cofactors
+    of at least _ECM_MIN, checked against an affine group law."""
+
+    @pytest.mark.parametrize("p", [103, 1000003])
+    def test_ladder_matches_repeated_addition(self, p):
+        # Modulo 103 the point has order 6, so the multiples pass through
+        # the point at infinity, where Z must be 0.
+        P, a, b = suyama_curve(6, p)
+        assert b and (a * a - 4) % p
+        a24 = (a + 2) * pow(4, -1, p) % p
+        multiple, infinite = None, 0
+        for k in range(1, 201):
+            multiple = montgomery_sum(multiple, P, a, b, p)
+            x, z = _ladder(k, P[0], a24, p)
+            if multiple is None:
+                infinite += 1
+                assert z % p == 0 and x % p, k
+            else:
+                assert z % p and (x - multiple[0] * z) % p == 0, k
+        assert (infinite > 0) == (p == 103)
+
+    def test_stage_1_multiplier_and_stage_2_terms(self):
+        # The multiplier is the largest power up to B1 of every prime up to
+        # it.  A term (g, b) stands for g*W - b and g*W + b: each prime in
+        # (B1, B2] is one of those of exactly one term, and each term has one.
+        lo, hi = divprime.arithmetic._ECM_BOUND1, divprime.arithmetic._ECM_BOUND2
+        width = divprime.arithmetic._ECM_WIDTH
+        k, coprime, table = _ecm_plan()
+        assert k == prod(max(p**e for e in range(1, 9) if p**e <= lo) for p in sieve_primes(lo + 1))
+        babies = list(compress(range(1, width // 2 + 1, 2), coprime))
+        assert babies == [b for b in range(1, width // 2) if gcd(b, width) == 1]
+        expected = [q for q in sieve_primes(hi + 1) if q > lo]
+        assert expected[:2] == [307, 311] and expected[-1] == 14983
+        in_range = set(expected)
+        covered = []
+        for g, runs in enumerate(table, 1):
+            for b in b"".join(runs):
+                primes = [q for q in (g * width - babies[b], g * width + babies[b]) if q in in_range]
+                assert primes, (g, babies[b])
+                covered += primes
+        assert sorted(covered) == expected
+
+    @pytest.mark.parametrize("p, q, g, b", [(1000033, 4621, 22, 1), (1000037, 3089, 15, -61)])
+    def test_stage_2_catches_the_order_past_b1(self, monkeypatch, p, q, g, b):
+        # On the first curve, [k]P modulo p has the prime order q = g*W + b.
+        assert q == g * divprime.arithmetic._ECM_WIDTH + b and trial_division_is_prime(q)
+        assert divprime.arithmetic._ECM_BOUND1 < q <= divprime.arithmetic._ECM_BOUND2
+        P, a, curve_b = suyama_curve(6, p)
+        Q = montgomery_multiple(_ecm_plan()[0], P, a, curve_b, p)
+        assert Q is not None and montgomery_multiple(q, Q, a, curve_b, p) is None
+        monkeypatch.setattr(divprime.arithmetic, "_ECM_CURVES", 1)
+        assert _ecm(p * SAFE) == p
+
+    def test_splits_two_safe_primes_without_rho(self, monkeypatch):
+        assert SAFE * SAFE_TOO >= divprime.arithmetic._ECM_MIN
+        assert _ecm(SAFE * SAFE_TOO) in (SAFE, SAFE_TOO)
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
+        assert factorize(SAFE * SAFE_TOO).factors == ((SAFE, 1), (SAFE_TOO, 1))
+
+    def test_cofactors_below_the_size_bound_skip_it(self, monkeypatch):
+        # p-1 gives m on P_TERM * P_TERM_TOO (one stage-2 term holds both).
+        m = P_TERM * P_TERM_TOO
+        assert _pollard_pm1(m) == m and m < divprime.arithmetic._ECM_MIN
+
+        def no_ecm(m: int) -> int:
+            raise AssertionError(f"ECM ran on {m}")
+
+        monkeypatch.setattr(divprime.arithmetic, "_ecm", no_ecm)
+        assert factorize(m).factors == ((P_TERM_TOO, 1), (P_TERM, 1))
+
+    def test_gives_1_on_two_20_digit_safe_primes(self):
+        assert _ecm((10**19 + 1963) * (10**19 + 7183)) == 1
 
 
 def brent_reference(n: int) -> tuple[int, list[int], bool]:
@@ -654,11 +769,13 @@ class TestRhoBudget:
 
     def test_factorize_raises_past_the_budget(self, monkeypatch):
         monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        monkeypatch.setattr(divprime.arithmetic, "_ECM_CURVES", 0)
         with pytest.raises(FactorBudgetError, match="of a 19-digit cofactor"):
             factorize(12 * SAFE * SAFE_TOO)
 
     def test_compute_exits_1_with_the_message(self, monkeypatch, capsys):
         monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        monkeypatch.setattr(divprime.arithmetic, "_ECM_CURVES", 0)
         assert main(["compute", str(12 * SAFE * SAFE_TOO), "--format", "csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -801,6 +918,7 @@ class TestFactorizeRange:
 
     def test_a_refused_n_raises_after_the_earlier_results(self, monkeypatch):
         monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        monkeypatch.setattr(divprime.arithmetic, "_ECM_CURVES", 0)
         n = 12 * SAFE * SAFE_TOO  # refused, as TestRhoBudget shows
         results = _factorize_range(n - 3, n + 3)
         assert [next(results) for _ in range(3)] == [factorize(m) for m in range(n - 3, n)]
@@ -809,6 +927,7 @@ class TestFactorizeRange:
 
     def test_verify_prints_the_earlier_rows_then_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(divprime.arithmetic, "_RHO_BUDGET", 1000)
+        monkeypatch.setattr(divprime.arithmetic, "_ECM_CURVES", 0)
         n = 12 * SAFE * SAFE_TOO
         assert main(["verify", str(n - 3), str(n + 3), "--format", "csv"]) == 1
         captured = capsys.readouterr()

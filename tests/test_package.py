@@ -135,14 +135,17 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
 
 
 def test_pollard_rho_does_not_import_random():
-    # psi_12 survives trial division and p-1, so rho splits it; its walks
-    # start from a fixed point and need no random number generator.
+    # psi_12 survives trial division and p-1, so ECM splits it, and
+    # 23603 * 45197, which p-1 leaves, is below ECM's size bound, so rho
+    # splits it.  ECM's curves come from a fixed sequence and rho's walks
+    # from a fixed point: neither needs a random number generator.
     src = str(Path(divprime.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); from divprime import factorize; "
-        "print(factorize(318665857834031151167461), 'random' in sys.modules)"
+        "print(factorize(318665857834031151167461), factorize(23603 * 45197), "
+        "'random' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout == "399165290221 * 798330580441 False\n"
+    assert done.stdout == "399165290221 * 798330580441 23603 * 45197 False\n"

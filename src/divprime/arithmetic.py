@@ -11,19 +11,22 @@ is one, else, from psi_13 (about 3.3e24), by a Miller split: the gcd of m
 with x - 1 for x = a^d, m - 1 = 2^s * d, and each of its squarings, over
 the first twenty prime bases a, which takes apart in milliseconds the
 Carmichael numbers built to pass Miller-Rabin on the bases to 43
-(Arnault 1995).  Else it is split by Pollard's p-1 method (Pollard 1974):
-stage 1 raises 3 to the largest power below 10^4 of every prime below it
-in one ``pow``, and again one power at a time when that catches every
-prime at once, and stage 2 tries each prime in [10^4, 5*10^5) as the one
-large factor of p - 1, by baby and giant steps that cover two primes with
-one product where they can (Montgomery 1987), and again one term at a
-time at a giant step that catches every prime at once.  What p-1 leaves
-goes, from 10^15, to Lenstra's elliptic-curve method (Lenstra 1987) on
-up to 64 of Suyama's Montgomery curves, each with a stage 1 to 300 by one
-x-only ladder and a stage 2 to 15000 by baby and giant steps paired as
-p-1's are.  What is left goes to Brent's variant of Pollard rho (Brent
-1980), which multiplies four differences per reduction and gives up with
-:class:`FactorBudgetError` after 2^25 steps rather than run without end.
+(Arnault 1995).  Else it is split by a first pass of Pollard's p-1 method
+(Pollard 1974): stage 1 raises 3 to the largest power below 3000 of every
+prime below it in one ``pow``, and again one power at a time when that
+catches every prime at once, and stage 2 tries each prime in
+[3000, 5*10^5) as the one large factor of p - 1, by baby and giant steps
+that cover two primes with one product where they can (Montgomery 1987),
+and again one term at a time at a giant step that catches every prime at
+once.  What that pass leaves goes, from 10^15, to Lenstra's elliptic-curve
+method (Lenstra 1987) on up to 64 of Suyama's Montgomery curves, each with
+a stage 1 to 300 by one x-only ladder and a stage 2 to 15000 by baby and
+giant steps paired as p-1's are.  What ECM leaves goes to the full p-1
+pass, the same with stage 1 to 10^4 and stage 2 from there, which finds a
+p whose p - 1 has two or more primes in [3000, 10^4).  What is left goes
+to Brent's variant of Pollard rho (Brent 1980), which multiplies four
+differences per reduction and gives up with :class:`FactorBudgetError`
+after 2^25 steps rather than run without end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13,
@@ -59,13 +62,23 @@ __all__ = [
 
 # Trial division strips primes below this; p-1, ECM and Pollard rho handle
 # the rest.  Kept modest so that factoring thousands of 12-digit numbers stays
-# fast.  It is also p-1's stage-1 bound.
+# fast.  It is also the stage-1 bound of p-1's full pass, the one after ECM.
 _TRIAL_BOUND = 10_000
 
-# Pollard p-1: the base, the end of stage 2's primes, and stage 2's giant
-# step W.  The base is not 2: it has order 89 modulo 2^89 - 1, so base 2
-# finds both Mersenne primes of (2^89 - 1)^2 * (2^61 - 1) at once.  The
-# bound is the least of {2, 3, 5, 10}*10^5 at which factorize, p-1 and rho
+# Pollard p-1: the base, the first pass's stage-1 bound, the end of stage
+# 2's primes, and stage 2's giant step W.  The base is not 2: it has order
+# 89 modulo 2^89 - 1, so base 2 finds both Mersenne primes of
+# (2^89 - 1)^2 * (2^61 - 1) at once.  The first pass's bound is the one of
+# {1500, 2000, 3000, 5000} at which factorize runs fastest over the 720
+# factor benchmark N (seeds 1, 5 and 77), with the median N no slower;
+# per-N min of 5 rounds, each in a fresh process, against the full pass
+# alone before ECM at 4.87-4.97 s, in two such sets: 1500 took x0.85-0.87,
+# 2000 x0.85, 3000 x0.81 and 5000 x0.86-0.88, the median N 3.8 ms against
+# 2.4-2.5, 2.2, 2.1 and 2.5-2.6 ms.
+# At 3000 the first pass splits 496 of the 720 cofactors at 3.9 ms a call,
+# the full pass 535 at 5.6 ms; ECM splits the other 224, so factor never
+# runs the full pass.  The first bound must exceed W/2 (_stage_2_table).
+# B2 is the least of {2, 3, 5, 10}*10^5 at which factorize, p-1 and rho
 # together, runs fastest over the factor benchmark's N, with the median N no
 # slower.  Timed per N in turn in one process over 480 N (seeds 1, 5 and 77,
 # CPython 3.11, 2-core x86-64), against 2*10^5: 3*10^5 took x0.94, 5*10^5
@@ -79,24 +92,28 @@ _TRIAL_BOUND = 10_000
 # primorials it takes the fewest baby and giant steps to 5*10^5: 577 + 216,
 # against 52 + 2381 for 210 and 7507 + 17 for 30030.
 _PM1_BASE = 3
+_PM1_BOUND1 = 3_000
 _PM1_BOUND2 = 500_000
 _PM1_WIDTH = 2310
 
-# Lenstra ECM, behind p-1 on cofactors of at least _ECM_MIN: the stage-1
-# bound B1, the end of stage 2's primes B2, stage 2's giant step W and the
-# number of curves.  Timed on the 185 cofactors that p-1 leaves of 720
-# factor benchmark N (seeds 1, 5 and 77; CPython 3.11, 2-core x86-64), ECM
-# then rho on what it leaves, min of 5 rounds: B1 = 300 and B2 = 15000
-# took 1.19 s, against 1.26 s at B1 = 200, 1.32 s at 400, 1.26 s at
-# B2 = 10^4 and 1.36 s at 2.5*10^4; W = 210 took 1.19 s, against 1.59 s at
-# 30 and 1.74 s at 2310.  They needed 3.3 curves on average and 18 at
-# most, so 64 is a wide margin; on CI's 39-digit product of two 20-digit
-# safe primes the 64 take about 0.2 s before rho refuses it.  _ECM_MIN is
-# where ECM starts to beat rho on balanced semiprimes that p-1 leaves, 40
-# per decade in two seeded sets, rho against ECM with rho behind it:
-# 1.1-1.3 against 2.7-4.2 ms in [10^13, 10^14), 1.6-3.0 against 2.7-4.9
-# ms in [10^14, 10^15), 3.6 against 3.2-3.3 ms in [10^15, 10^16) and
-# 5.3-5.8 against 4.1-5.1 ms in [10^16, 10^17).
+# Lenstra ECM, behind the first p-1 pass on cofactors of at least
+# _ECM_MIN: the stage-1 bound B1, the end of stage 2's primes B2, stage 2's
+# giant step W and the number of curves.  B1 was timed on the 224 cofactors
+# that the first p-1 pass leaves of 720 factor benchmark N (seeds 1, 5 and
+# 77; CPython 3.11, 2-core x86-64), ECM then the full pass and rho on what
+# it leaves, per-cofactor min of 5 rounds: B1 = 300 took 1.49 s, against
+# 1.58 s at 200 and 1.62 s at 400; they needed 3.5 curves on average and
+# 18 at most, so 64 is a wide margin.  B2 and W were timed, min of 5
+# rounds, on the 185 cofactors that the full pass leaves when it runs alone
+# before ECM: B2 = 15000 took 1.19 s, against 1.26 s at 10^4 and 1.36 s at
+# 2.5*10^4; W = 210 took 1.19 s, against 1.59 s at 30 and 1.74 s at 2310.
+# On CI's 39-digit product of two 20-digit safe primes the 64 take about
+# 0.2 s before rho refuses it.  _ECM_MIN is where ECM starts to beat rho on
+# balanced semiprimes that the full p-1 pass leaves, 40 per decade in two
+# seeded sets, rho against ECM with rho behind it: 1.1-1.3 against 2.7-4.2
+# ms in [10^13, 10^14), 1.6-3.0 against 2.7-4.9 ms in [10^14, 10^15), 3.6
+# against 3.2-3.3 ms in [10^15, 10^16) and 5.3-5.8 against 4.1-5.1 ms in
+# [10^16, 10^17).
 _ECM_BOUND1 = 300
 _ECM_BOUND2 = 15_000
 _ECM_WIDTH = 210
@@ -318,28 +335,31 @@ def _stage_2_table(width: int, lo: int, hi: int) -> tuple[bytes, tuple[tuple[byt
 
 
 @cache
-def _pm1_plan() -> tuple[int, tuple[int, ...], bytes, tuple[tuple[bytes, ...], ...]]:
-    """Stage 1's exponent; the prime powers it is the product of, the
-    largest below _TRIAL_BOUND of every prime below it, in ascending order;
-    and stage 2's term table, ``_stage_2_table`` with W = _PM1_WIDTH over
-    the primes in [_TRIAL_BOUND, _PM1_BOUND2)."""
-    powers = _prime_powers(_TRIAL_BOUND)
-    return prod(powers), powers, *_stage_2_table(_PM1_WIDTH, _TRIAL_BOUND, _PM1_BOUND2)
+def _pm1_plan(bound: int) -> tuple[int, tuple[int, ...], bytes, tuple[tuple[bytes, ...], ...]]:
+    """The plan of a p-1 pass with stage-1 bound ``bound`` > _PM1_WIDTH/2:
+    stage 1's exponent; the prime powers it is the product of, the largest
+    below bound of every prime below it, in ascending order; and stage 2's
+    term table, ``_stage_2_table`` with W = _PM1_WIDTH over the primes in
+    [bound, _PM1_BOUND2).  Each bound's plan is built on its first use."""
+    powers = _prime_powers(bound)
+    return prod(powers), powers, *_stage_2_table(_PM1_WIDTH, bound, _PM1_BOUND2)
 
 
-def _pollard_pm1(m: int) -> int:
-    """Pollard's p-1 on a composite m: a proper divisor of m, or 1 or m
-    when neither stage splits it.
+def _pollard_pm1(m: int, bound: int = _TRIAL_BOUND) -> int:
+    """A pass of Pollard's p-1 with stage-1 bound ``bound`` on a composite
+    m: a proper divisor of m, or 1 or m when neither stage splits it.  The
+    default bound, _TRIAL_BOUND, is the full pass; ``_split`` runs one with
+    _PM1_BOUND1 before ECM.
 
-    Stage 1 takes x = _PM1_BASE^E mod m, E the stage-1 exponent, so
+    Stage 1 takes x = _PM1_BASE^E mod m, E the plan's stage-1 exponent, so
     gcd(x - 1, m) holds every prime p of m for which the order of the base
     modulo p divides E.  When that is every prime of m, stage 1 runs again
     from the base, one prime power of E at a time in ascending order with a
     gcd after each, and returns the first gcd past 1, which is m only when
     every prime of m comes out at the same power.  Stage 2 catches those
-    whose order is such a divisor times one prime q in [_TRIAL_BOUND,
-    _PM1_BOUND2), by Montgomery's baby-step giant-step continuation with
-    prime pairing (Montgomery 1987).
+    whose order is such a divisor times one prime q in [bound, _PM1_BOUND2),
+    by Montgomery's baby-step giant-step continuation with prime pairing
+    (Montgomery 1987).
     With W = _PM1_WIDTH, each such q is g*W - b or g*W + b for one giant
     step g and one baby step b < W/2 prime to W.  Let V_g = x^(gW) + x^(-gW)
     and v_b = x^b + x^(-b), each reached from the two before it by one
@@ -352,7 +372,7 @@ def _pollard_pm1(m: int) -> int:
     come out one at a time.  A giant step whose gcd is m takes its terms
     again one at a time, with a gcd after each, and returns the first gcd
     past 1, which is m only when one term holds every prime of m."""
-    exponent, powers, coprime, table = _pm1_plan()
+    exponent, powers, coprime, table = _pm1_plan(bound)
     x = pow(_PM1_BASE, exponent, m)
     g = gcd(x - 1, m)
     if g == m:  # every prime of m caught at once: take them apart
@@ -564,9 +584,10 @@ def _split(m: int) -> list[tuple[int, int]]:
     """The (prime, exponent) pairs of m >= 10^8, ascending, where m has no
     prime below _TRIAL_BOUND, so that by is_prime's rule every part of it
     below 10^8 is prime.  A composite part is split as a perfect power if it
-    is one, else by the Miller split if it is psi_13 or more, else by Pollard
-    p-1, else by ECM if it is _ECM_MIN or more, else by Pollard rho, which
-    may raise FactorBudgetError."""
+    is one, else by the Miller split if it is psi_13 or more, else by a
+    first Pollard p-1 pass with stage-1 bound _PM1_BOUND1, else by ECM if
+    it is _ECM_MIN or more, else by the full p-1 pass, else by Pollard rho,
+    which may raise FactorBudgetError."""
     exponents: dict[int, int] = {}
     stack = [m]
     while stack:
@@ -584,9 +605,11 @@ def _split(m: int) -> list[tuple[int, int]]:
         else:
             d = _miller_split(m) if m >= _PSI_13 else 1
             if d == 1:
-                d = _pollard_pm1(m)
+                d = _pollard_pm1(m, _PM1_BOUND1)
             if (d == 1 or d == m) and m >= _ECM_MIN:
                 d = _ecm(m)
+            if d == 1 or d == m:
+                d = _pollard_pm1(m)
             if d == 1 or d == m:
                 d = _pollard_rho(m)
             stack += [d, m // d]
@@ -612,9 +635,10 @@ def factorize(n: int) -> Factorization:
 
     Trial division by the primes below 10^4 first.  Each composite cofactor
     left is then split as a perfect power, else past psi_13 by the Miller
-    split, else by Pollard p-1 (stage 1 to 10^4, stage 2 to 5*10^5), else
-    from 10^15 by ECM (64 fixed curves, stage 1 to 300, stage 2 to 15000),
-    else by Pollard rho from a fixed start, and is_prime checks the parts,
+    split, else by a first Pollard p-1 pass (stage 1 to 3000, stage 2 to
+    5*10^5), else from 10^15 by ECM (64 fixed curves, stage 1 to 300,
+    stage 2 to 15000), else by the full p-1 pass (stage 1 to 10^4), else by
+    Pollard rho from a fixed start, and is_prime checks the parts,
     so the result is deterministic for a given n and comfortably handles
     inputs far beyond what the explicit graph can represent.  Raises
     ValueError for n < 1, and FactorBudgetError when rho spends its budget

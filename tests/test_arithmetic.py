@@ -364,13 +364,17 @@ class TestMultiplesOfTheBases:
         assert not is_prime(start + (start & 1) + 2)
 
 
-# Pollard p-1 splits p from p * q when p - 1 is 10^4-smooth (stage 1) or
-# such a number times one prime in [10^4, 5 * 10^5) (stage 2).  A safe prime
-# q = 2q' + 1 with q' prime is found by neither stage.  With giant step
-# W = 2310, stage 2 meets 50021 = 22W - 799 and 100003 = 43W + 673, two
-# primes past its earlier bound of 5 * 10^4, at different giant steps, and
-# 499979 = 216W + 1019, past its earlier bound of 2 * 10^5, at its last.
-# 11299 = 5W - 251 and 11801 = 5W + 251 share one stage-2 term.
+# A pass of Pollard p-1 with stage-1 bound B splits p from p * q when p - 1
+# is B-smooth (stage 1) or such a number times one prime in [B, 5 * 10^5)
+# (stage 2).  factorize runs a first pass with B = _PM1_BOUND1 = 3000 before
+# ECM, and the full pass, B = 10^4, after it; _pollard_pm1(m) is the full
+# pass.  A safe prime q = 2q' + 1 with q' prime is found by neither stage.
+# With giant step W = 2310, stage 2 meets 50021 = 22W - 799 and
+# 100003 = 43W + 673, two primes past its earlier bound of 5 * 10^4, at
+# different giant steps, and 499979 = 216W + 1019, past its earlier bound
+# of 2 * 10^5, at its last.  11299 = 5W - 251 and 11801 = 5W + 251 share
+# one stage-2 term.  P_FALLBACK - 1 has three primes in [3000, 10^4), so only
+# the full pass finds it.
 P_STAGE1 = 2**2 * 7 * 19 * 41 * 61 * 67 * 89 + 1
 P_STAGE1_TOO = 2 * 5 * 11 * 13 * 23 * 31 * 37 * 43 + 1
 P_STAGE2 = 2**2 * 5 * 41 * 61 * 20011 + 1
@@ -379,6 +383,8 @@ P_STAGE2_ABOVE = 2 * 3 * 7 * 100003 + 1
 P_STAGE2_FAR = 2**6 * 3**4 * 5**3 * 7**2 * 11 * 13 * 17**2 * 19 * 23 * 29 * 31 * 37 * 499979 + 1
 P_TERM, P_TERM_TOO = 4 * 11299 + 1, 2 * 11801 + 1
 SAFE, SAFE_TOO = 2 * 500000003 + 1, 2 * 500000201 + 1
+P_FALLBACK = 2 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 4001 * 4003 * 9973 + 1
+PASS_BOUNDS = (divprime.arithmetic._PM1_BOUND1, divprime.arithmetic._TRIAL_BOUND)
 
 
 def lucas_is_prime(p: int, primes: tuple[int, ...], proven: tuple[int, ...] = ()) -> bool:
@@ -414,7 +420,8 @@ def no_rho(m: int) -> int:
 
 class TestPollardPm1:
     """Each case is checked on what _pollard_pm1 returns and on factorize,
-    which hands anything but a proper divisor on to Pollard rho."""
+    which hands anything but a proper divisor of the first pass on to ECM,
+    the full pass and Pollard rho."""
 
     def test_inputs_are_what_they_claim(self):
         stage_2 = (P_STAGE2, P_STAGE2_BELOW, P_STAGE2_ABOVE, P_TERM, P_TERM_TOO)
@@ -432,30 +439,31 @@ class TestPollardPm1:
 
     def test_stage_2_splits_one_prime_past_the_trial_bound(self):
         m = P_STAGE2 * SAFE
-        exponent = _pm1_plan()[0]
+        exponent = _pm1_plan(divprime.arithmetic._TRIAL_BOUND)[0]
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == P_STAGE2
         assert factorize(m).factors == ((SAFE, 1), (P_STAGE2, 1))
 
     def test_stage_2_terms_cover_exactly_the_primes_in_its_range(self):
-        # A term (g, b) stands for g*W - b and g*W + b: each prime in
-        # [10^4, B2) is one of those of exactly one term, and each term has one.
-        lo, hi = divprime.arithmetic._TRIAL_BOUND, divprime.arithmetic._PM1_BOUND2
-        width = divprime.arithmetic._PM1_WIDTH
-        *_, coprime, table = _pm1_plan()
-        babies = list(compress(range(1, width // 2 + 1, 2), coprime))
-        assert babies == [b for b in range(1, width // 2) if gcd(b, width) == 1]
-        expected = [q for q in sieve_primes(hi) if q >= lo]
-        assert expected[:2] == [10007, 10009] and expected[-1] == 499979
-        in_range = set(expected)
-        covered = []
-        for g, runs in enumerate(table, 1):
-            for k in b"".join(runs):
-                pair = (g * width - babies[k], g * width + babies[k])
-                primes = [q for q in pair if q in in_range]
-                assert primes, (g, babies[k])
-                covered += primes
-        assert sorted(covered) == expected
+        # A term (g, b) stands for g*W - b and g*W + b: for the stage-1
+        # bound B of either pass, each prime in [B, B2) is one of those of
+        # exactly one term, and each term has one.
+        hi, width = divprime.arithmetic._PM1_BOUND2, divprime.arithmetic._PM1_WIDTH
+        for lo, least in zip(PASS_BOUNDS, ([3001, 3011], [10007, 10009])):
+            *_, coprime, table = _pm1_plan(lo)
+            babies = list(compress(range(1, width // 2 + 1, 2), coprime))
+            assert babies == [b for b in range(1, width // 2) if gcd(b, width) == 1]
+            expected = [q for q in sieve_primes(hi) if q >= lo]
+            assert expected[:2] == least and expected[-1] == 499979
+            in_range = set(expected)
+            covered = []
+            for g, runs in enumerate(table, 1):
+                for k in b"".join(runs):
+                    pair = (g * width - babies[k], g * width + babies[k])
+                    primes = [q for q in pair if q in in_range]
+                    assert primes, (lo, g, babies[k])
+                    covered += primes
+            assert sorted(covered) == expected, lo
 
     @pytest.mark.parametrize(
         "p, q, g, b", [(P_STAGE2_BELOW, 50021, 22, -799), (P_STAGE2_ABOVE, 100003, 43, 673)]
@@ -464,7 +472,7 @@ class TestPollardPm1:
         assert q == g * divprime.arithmetic._PM1_WIDTH + b
         assert (p - 1) % q == 0 and 5 * 10**4 < q < divprime.arithmetic._PM1_BOUND2
         m = p * SAFE
-        exponent = _pm1_plan()[0]
+        exponent = _pm1_plan(divprime.arithmetic._TRIAL_BOUND)[0]
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == p
         assert factorize(m).factors == ((p, 1), (SAFE, 1))
@@ -474,7 +482,7 @@ class TestPollardPm1:
         assert q == 216 * divprime.arithmetic._PM1_WIDTH + 1019
         assert (P_STAGE2_FAR - 1) % q == 0 and 2 * 10**5 < q < divprime.arithmetic._PM1_BOUND2
         m = P_STAGE2_FAR * SAFE
-        exponent = _pm1_plan()[0]
+        exponent = _pm1_plan(divprime.arithmetic._TRIAL_BOUND)[0]
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == P_STAGE2_FAR
         assert factorize(m).factors == ((SAFE, 1), (P_STAGE2_FAR, 1))
@@ -490,16 +498,18 @@ class TestPollardPm1:
         assert factorize(SAFE * SAFE_TOO).factors == ((SAFE, 1), (SAFE_TOO, 1))
 
     def test_two_smooth_primes_come_apart_in_stage_1(self, monkeypatch):
-        # Stage 1 catches both primes at once.  Raised one prime power at a
-        # time, the base reaches P_STAGE1_TOO's order at 43^2, the power of
-        # the largest prime of P_STAGE1_TOO - 1, before P_STAGE1's.
+        # Stage 1 of either pass catches both primes at once.  Raised one
+        # prime power at a time, the base reaches P_STAGE1_TOO's order at
+        # 43^2, the power of the largest prime of P_STAGE1_TOO - 1, before
+        # P_STAGE1's.
         m = P_STAGE1 * P_STAGE1_TOO
-        exponent, powers, *_ = _pm1_plan()
-        bound = divprime.arithmetic._TRIAL_BOUND
-        primes = sieve_primes(bound)
-        assert powers == tuple(max(p**k for k in range(1, 14) if p**k < bound) for p in primes)
-        assert exponent == prod(powers)
-        assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == m
+        for bound in PASS_BOUNDS:
+            exponent, powers, *_ = _pm1_plan(bound)
+            primes = sieve_primes(bound)
+            assert powers == tuple(max(p**k for k in range(1, 14) if p**k < bound) for p in primes)
+            assert exponent == prod(powers)
+            assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == m
+            assert _pollard_pm1(m, bound) == P_STAGE1_TOO
         assert _pollard_pm1(m) == P_STAGE1_TOO
         monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
         assert factorize(m).factors == ((P_STAGE1_TOO, 1), (P_STAGE1, 1))
@@ -511,7 +521,7 @@ class TestPollardPm1:
         assert (11299, 11801) == (5 * width - 251, 5 * width + 251)
         assert (P_TERM - 1) % 11299 == 0 and (P_TERM_TOO - 1) % 11801 == 0
         m = P_TERM * P_TERM_TOO
-        exponent = _pm1_plan()[0]
+        exponent = _pm1_plan(divprime.arithmetic._TRIAL_BOUND)[0]
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == m
         rho_inputs = []
@@ -532,11 +542,52 @@ class TestPollardPm1:
         assert trial_division_is_prime(13709) and trial_division_is_prime(13267)
         assert (p - 1) % 13709 == 0 and (q - 1) % 13267 == 0
         m = p * q
-        exponent = _pm1_plan()[0]
+        exponent = _pm1_plan(divprime.arithmetic._TRIAL_BOUND)[0]
         assert gcd(pow(divprime.arithmetic._PM1_BASE, exponent, m) - 1, m) == 1  # not stage 1
         assert _pollard_pm1(m) == p
+        # p - 1 = 2 * 61 * 67^2 * 13709, and the first pass's stage 1 takes
+        # 67 only once, so it finds q alone, q - 1 = 2 * 3 * 107 * 1069 * 13267.
+        assert _pollard_pm1(m, divprime.arithmetic._PM1_BOUND1) == q
         monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
         assert factorize(m).factors == ((p, 1), (q, 1))
+
+    def test_full_pass_splits_what_the_first_pass_and_ecm_leave(self, monkeypatch):
+        # P_FALLBACK - 1 holds 4001, 4003 and 9973: the first pass's stage 2
+        # takes one prime past 3000, so it finds neither prime of m, and
+        # neither does ECM; the full pass then splits off P_FALLBACK.
+        assert lucas_is_prime(P_FALLBACK, (2, 7, 11, 13, 17, 19, 23, 29, 4001, 4003, 9973))
+        m = P_FALLBACK * (10**19 + 1963)
+        assert m == 688925705933811060826116074807084693317
+        assert _pollard_pm1(m, divprime.arithmetic._PM1_BOUND1) == 1
+        assert _ecm(m) == 1
+        assert _pollard_pm1(m) == P_FALLBACK
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
+        assert factorize(m).factors == ((10**19 + 1963, 1), (P_FALLBACK, 1))
+
+    def test_first_pass_and_ecm_split_two_10_digit_primes(self, monkeypatch):
+        # Seeded products of two 10-digit primes, as the factor benchmark
+        # draws them: the first pass splits some, ECM the rest, so neither
+        # the full pass nor rho runs.
+        rng = random.Random(39)
+        full = divprime.arithmetic._pollard_pm1
+        first_pass_splits = []
+
+        def first_pass_only(m: int, bound: int = divprime.arithmetic._TRIAL_BOUND) -> int:
+            assert bound == divprime.arithmetic._PM1_BOUND1, f"the full pass ran on {m}"
+            d = full(m, bound)
+            first_pass_splits.append(d != 1 and d != m)
+            return d
+
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_pm1", first_pass_only)
+        monkeypatch.setattr(divprime.arithmetic, "_pollard_rho", no_rho)
+        for _ in range(6):
+            p, q = (rng.randrange(10**9, 10**10) | 1 for _ in range(2))
+            while not trial_division_is_prime(p):
+                p += 2
+            while not trial_division_is_prime(q) or q == p:
+                q += 2
+            assert factorize(p * q).factors == ((min(p, q), 1), (max(p, q), 1))
+        assert len(first_pass_splits) == 6 and 0 < sum(first_pass_splits) < 6
 
     def test_base_3_splits_off_mersenne_61(self):
         # Base 2 has order 89 modulo 2^89 - 1 and 61 modulo 2^61 - 1, so it

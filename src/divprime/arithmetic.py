@@ -21,12 +21,13 @@ and again one term at a time at a giant step that catches every prime at
 once.  What that pass leaves goes, from 10^15, to Lenstra's elliptic-curve
 method (Lenstra 1987) on up to 64 of Suyama's Montgomery curves, each with
 a stage 1 to 300 by one x-only ladder and a stage 2 to 15000 by baby and
-giant steps paired as p-1's are.  What ECM leaves goes to the full p-1
-pass, the same with stage 1 to 10^4 and stage 2 from there, which finds a
-p whose p - 1 has two or more primes in [3000, 10^4).  What is left goes
-to Brent's variant of Pollard rho (Brent 1980), which multiplies four
-differences per reduction and gives up with :class:`FactorBudgetError`
-after 2^25 steps rather than run without end.
+giant steps paired as p-1's are.  What is still left goes to the full
+p-1 pass, the same with stage 1 to 10^4 and stage 2 from there, which
+finds a p whose p - 1, less its largest prime, still has a prime power in
+[3000, 10^4).  What is left then goes to Brent's variant of Pollard rho
+(Brent 1980), which multiplies four differences per reduction and gives up
+with :class:`FactorBudgetError` after 2^25 steps rather than run without
+end.
 
 Primality below 10^8 is trial division by the same blocks of primes; from
 there it is Miller-Rabin with the bases proven for n's size below psi_13,
